@@ -1166,8 +1166,9 @@ let run_scale () =
     (fun replicas ->
       let replication = ref (fun () -> []) in
       let make engine ~output =
-        Nfp_infra.System.make ~replicas ~replication ~plan
-          ~nfs:(lookup_of kinds ()) engine ~output
+        Nfp_infra.System.make
+          ~config:{ Nfp_infra.System.default_config with replicas }
+          ~replication ~plan ~nfs:(lookup_of kinds ()) engine ~output
       in
       let m =
         measure ~hi:30.0
@@ -1443,8 +1444,9 @@ let run_batch () =
   List.iter
     (fun batch ->
       let make engine ~output =
-        Nfp_infra.System.make ~batch_size:batch ~plan ~nfs:(lookup_of kinds ())
-          engine ~output
+        Nfp_infra.System.make
+          ~config:{ Nfp_infra.System.default_config with batch_size = batch }
+          ~plan ~nfs:(lookup_of kinds ()) engine ~output
       in
       let t0 = Unix.gettimeofday () in
       let m =

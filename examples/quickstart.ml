@@ -67,8 +67,8 @@ let () =
   (* 3b. Replication analysis: what each NF's state-access profile
          allows, and how many instances an illustrative replicas=2
          deployment would give it ([replicas] on
-         {!Nfp_infra.System.config}, or [?replicas] on [System.make];
-         the default 1 keeps today's single-instance layout). *)
+         {!Nfp_infra.System.config}; the default 1 keeps today's
+         single-instance layout). *)
   let lookup = instances () in
   Format.printf "@.replication analysis (replicas=2 would deploy):@.";
   List.iter
@@ -84,7 +84,7 @@ let () =
         NFP deployment below runs the default execution configuration —
         compiled fast path, cached microflow classifier, and the batch
         "breath" engine at the cost model's burst size ([batch_size] on
-        {!Nfp_infra.System.config} overrides it; 1 is per-packet). *)
+        {!Nfp_infra.System.config} sets it; 1 is per-packet). *)
   Format.printf "execution config : path=compiled  classify=cached  batch=%d@."
     Nfp_infra.System.default_config.batch_size;
   (* Overload control is opt-in ([?overload] on [System.make]); the

@@ -332,35 +332,21 @@ module Dedup = struct
   let length t = Hashtbl.length t.g_cur + Hashtbl.length t.g_prev
 end
 
-(* The uniform control surface the watchdog holds over every core,
-   whatever its job type. *)
-type probe = {
-  pr_name : string;
-  pr_nf : (int * string) option;  (* mid, NF instance name; None = infrastructure *)
-  pr_processed : unit -> int;
-  pr_queue : unit -> int;
-  pr_stalled : unit -> float;
-  pr_busy : unit -> bool;
-  pr_down : unit -> bool;
-  pr_paused : unit -> bool;
-      (* quiesced as a live-migration source: healthy, deliberately
-         frozen — the watchdog must not declare it dead *)
-  pr_kill : unit -> unit;
-  pr_revive : flush:bool -> int;
-  pr_drain : unit -> int;  (* NF cores: reroute the backlog around the core *)
-  pr_crashes : unit -> int;
-  pr_fault_drops : unit -> int;
-  pr_flushed : unit -> int;
-  pr_rejected : unit -> int;  (* ring-full offer refusals at this core *)
-  pr_pressured : unit -> bool;  (* watermark latch currently raised *)
-  pr_pressure_episodes : unit -> int;  (* pressure onsets so far *)
-  pr_casualties : unit -> int;  (* reclaimed in-flight work awaiting recovery *)
-  pr_checkpoint : unit -> unit;  (* NF cores with snapshot support: take one now *)
-  pr_replay : unit -> float;
-      (* restore the last checkpoint and replay the input log; returns
-         the replay's contribution to the core's downtime (0.0 for
-         infrastructure cores and NFs without snapshot support) *)
-}
+(* The watchdog's handle on a compiled-path core, whatever its job
+   type: the server, plus the recovery hooks only the core's builder
+   knows. [drain] reroutes an NF core's backlog around it (Bypass);
+   [checkpoint] and [replay] arm lossless restart for NF cores with
+   snapshot support, returning the replay's added downtime.
+   Infrastructure cores carry no-op hooks. *)
+type probe =
+  | Probe : {
+      server : 'a Nfp_sim.Server.t;
+      nf : (int * string) option;  (* mid, NF instance name; None = infrastructure *)
+      drain : 'a Nfp_sim.Server.t -> int;
+      checkpoint : unit -> unit;
+      replay : unit -> float;
+    }
+      -> probe
 
 let core_count config (plan : Tables.plan) =
   1
@@ -506,9 +492,19 @@ let branch_index (spec : Tables.merge_spec) (deliverer : Tables.deliverer) =
 
 let empty_prog = { p_copies = [||]; p_sends = [||]; p_static = 0; p_full_srcs = [||] }
 
+(* RSS bucket of a 5-tuple among [n]. The hash runs on its own seeded
+   stream ([Hashing.rss2_int]), never correlated with the microflow
+   cache's bucket hash. Steering hashes a packet's fields and the
+   migration carve a [Flow.t]'s: the same values, so every packet of a
+   flow lands in the bucket its state moves with. *)
+let rss_bucket ~sip ~sport ~proto ~dip ~dport n =
+  Nfp_algo.Hashing.rss2_int
+    (Nfp_algo.Hashing.pack_a_int sip sport proto)
+    (Nfp_algo.Hashing.pack_b_int dip dport)
+  mod n
+
 let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_config)
-    ?batch_size ?replicas ?fault ?overload ?elastic ?links ?stats ?replication
-    ~graphs engine ~output =
+    ?fault ?overload ?elastic ?links ?stats ?replication ~graphs engine ~output =
   if graphs = [] then invalid_arg "System.make_multi: no service graphs";
   (match (fault, path) with
   | Some _, `Interpretive ->
@@ -596,9 +592,7 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
   in
   (* Replica target for strategy-eligible NFs; 1 (the default) keeps
      the deployment bit-identical to the pre-replication system. *)
-  let replicas_knob =
-    max 1 (match replicas with Some r -> r | None -> config.replicas)
-  in
+  let replicas_knob = max 1 config.replicas in
   if replicas_knob > 1 && path = `Interpretive then
     invalid_arg "System.make_multi: replicas require the `Compiled path";
   let cost = config.cost in
@@ -606,7 +600,7 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
      (legacy) execution exactly. Both execution paths get the same
      value and the same per-breath amortization, so the
      interpretive/compiled differential is undisturbed at any size. *)
-  let batch = max 1 (match batch_size with Some b -> b | None -> config.batch_size) in
+  let batch = max 1 config.batch_size in
   let burst_saving_ns = Nfp_sim.Cost.ns_of_cycles cost cost.burst_saving in
   (* Faults are resolved per core by name; [None] everywhere when no
      fault config is given, and [Server.create ?fault:None] is exactly
@@ -658,16 +652,12 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
      {!Replication.shardable} additionally vetoes any NF with an
      order-sensitive (Sequential-strategy) NF downstream, since
      sharding changes the cross-flow arrival order those cores see. *)
+  let shardable mid name =
+    let _, plan, nfs = table.(mid - 1) in
+    Replication.shardable ~plan ~nf_of:nfs name
+  in
   let replica_count mid name =
-    if
-      replicas_knob > 1
-      && Replication.shardable ~plan:(plan_of_mid mid)
-           ~nf_of:(fun n ->
-             let _, _, nfs = table.(mid - 1) in
-             nfs n)
-           name
-    then replicas_knob
-    else 1
+    if replicas_knob > 1 && shardable mid name then replicas_knob else 1
   in
   (* Resolve every plan's NF implementations up front. *)
   let nf_impls =
@@ -792,47 +782,6 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
          (Int64.logand (Nfp_algo.Hashing.mix64 pid) Int64.max_int)
          (Int64.of_int (max 1 instances)))
   in
-  (* Every compiled-path core registers a probe; the watchdog and the
-     [health] counters below work off this list. *)
-  let probes : probe list ref = ref [] in
-  let register_probe :
-      'a.
-      ?nf:int * string ->
-      ?drain:(unit -> int) ->
-      ?checkpoint:(unit -> unit) ->
-      ?replay:(unit -> float) ->
-      'a Nfp_sim.Server.t ->
-      unit =
-   fun ?nf ?(drain = fun () -> 0) ?(checkpoint = fun () -> ())
-       ?(replay = fun () -> 0.0) s ->
-    probes :=
-      {
-        pr_name = Nfp_sim.Server.name s;
-        pr_nf = nf;
-        pr_processed = (fun () -> Nfp_sim.Server.processed s);
-        pr_queue = (fun () -> Nfp_sim.Server.queue_length s);
-        pr_stalled = (fun () -> Nfp_sim.Server.stalled_ns s);
-        pr_busy = (fun () -> Nfp_sim.Server.is_busy s);
-        pr_down = (fun () -> Nfp_sim.Server.is_down s);
-        pr_paused = (fun () -> Nfp_sim.Server.is_paused s);
-        pr_kill = (fun () -> Nfp_sim.Server.kill s);
-        pr_revive = (fun ~flush -> Nfp_sim.Server.revive ~flush s);
-        pr_drain = drain;
-        pr_crashes = (fun () -> Nfp_sim.Server.crashes s);
-        pr_fault_drops = (fun () -> Nfp_sim.Server.fault_drops s);
-        pr_flushed = (fun () -> Nfp_sim.Server.flushed s);
-        pr_rejected = (fun () -> Nfp_sim.Server.rejected s);
-        pr_pressured = (fun () -> Nfp_sim.Server.pressured s);
-        pr_pressure_episodes = (fun () -> Nfp_sim.Server.pressure_episodes s);
-        pr_casualties =
-          (fun () ->
-            let jobs, emits = Nfp_sim.Server.casualty_counts s in
-            jobs + emits);
-        pr_checkpoint = checkpoint;
-        pr_replay = replay;
-      }
-      :: !probes
-  in
   (* Per-NF replica layout, filled in by whichever execution path
      builds the cores: (mid, entry, replica NF instances, per-replica
      processed counters). The [?replication] report reads it. *)
@@ -862,6 +811,46 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
   let rec drive thunk =
     if not (thunk ()) then
       Nfp_sim.Engine.schedule engine ~delay:150.0 (fun () -> drive thunk)
+  in
+  (* A channel in front of [srv]'s port: releases offer into its ring,
+     and a Down link detours into it off-core. *)
+  let channel_to name srv =
+    channel_for ~name
+      ~deliver:(fun job -> Nfp_sim.Server.offer srv job)
+      ~reroute:(fun job -> drive (fun () -> Nfp_sim.Server.offer srv job))
+  in
+  (* One send into a core's port: across its link channel if it has
+     one, else straight into its ring. *)
+  let send_via channel srv job =
+    match channel with
+    | Some ch -> Channel.send ch job
+    | None -> Nfp_sim.Server.offer srv job
+  in
+  (* Every compiled-path core is built here and registered with the
+     watchdog. Registration order is creation order: it fixes the
+     watchdog's scan order and the [health.cores] listing. *)
+  let probes : probe list ref = ref [] in
+  let core :
+      'a.
+      ?nf:int * string ->
+      ?drain:('a Nfp_sim.Server.t -> int) ->
+      ?checkpoint:(unit -> unit) ->
+      ?replay:(unit -> float) ->
+      name:string ->
+      jitter:float * Nfp_algo.Prng.t ->
+      service_ns:('a -> float) ->
+      execute:('a -> unit -> bool) ->
+      unit ->
+      'a Nfp_sim.Server.t =
+   fun ?nf ?(drain = fun _ -> 0) ?(checkpoint = ignore) ?(replay = fun () -> 0.0)
+       ~name ~jitter ~service_ns ~execute () ->
+    let server =
+      Nfp_sim.Server.create ~engine ~name ~ring_capacity:config.ring_capacity ~batch
+        ~burst_saving_ns ~jitter ?watermarks:wm ?fault:(fault_for name) ~service_ns
+        ~execute ()
+    in
+    probes := Probe { server; nf; drain; checkpoint; replay } :: !probes;
+    server
   in
   let classifier, sampler =
     match path with
@@ -1145,37 +1134,29 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
         (* Elastic steering maps, one per slot; [None] = legacy mod-n
            sharding (the slot is not scalable, or no elastic config). *)
         let steers : steer option array ref = ref [||] in
-        (* Link channels in front of each NF replica's port; [None] cells
-           (and the empty array, when links are off) keep the direct
-           offer path. Populated after the servers exist. *)
+        (* Link channels in front of each NF replica's port; [None]
+           cells keep the direct offer path. Populated after the servers
+           exist. *)
         let nf_channels : Context.t Channel.t option array array ref = ref [||] in
         (* RSS shard steering: the packet version each slot's NF reads,
-           so the send site can hash the 5-tuple that replica will
-           observe. The hash runs on its own seeded stream
-           ([Hashing.rss2_int]) — never correlated with the microflow
-           cache's bucket hash — and is skipped entirely for
-           single-replica slots, keeping the replicas=1 hot path (and
-           trace) bit-identical to the pre-replication system. Upstream
-           5-tuple rewrites (NAT, LB) are flow-deterministic, so every
-           packet of a flow hashes alike and lands on the same replica. *)
+           so the send site hashes the 5-tuple that replica will observe.
+           The hash is skipped entirely for single-replica slots, keeping
+           the replicas=1 hot path (and trace) bit-identical to the
+           pre-replication system. Upstream 5-tuple rewrites (NAT, LB)
+           are flow-deterministic, so every packet of a flow hashes alike
+           and lands on the same replica. *)
         let nf_version_of =
           Array.of_list
             (List.map (fun (_, (e : Tables.nf_entry), _) -> e.Tables.version) nf_impls)
         in
-        let rss_hash ctx slot =
+        let packet_bucket ctx slot n =
           match Context.get ctx nf_version_of.(slot) with
           | None -> 0
           | Some pkt ->
-              let a =
-                Nfp_algo.Hashing.pack_a_int (Packet.sip_int pkt) (Packet.sport pkt)
-                  (Packet.proto pkt)
-              in
-              let b =
-                Nfp_algo.Hashing.pack_b_int (Packet.dip_int pkt) (Packet.dport pkt)
-              in
-              Nfp_algo.Hashing.rss2_int a b
+              rss_bucket ~sip:(Packet.sip_int pkt) ~sport:(Packet.sport pkt)
+                ~proto:(Packet.proto pkt) ~dip:(Packet.dip_int pkt)
+                ~dport:(Packet.dport pkt) n
         in
-        let shard_of ctx slot n = rss_hash ctx slot mod n in
         let merger_cores : cdelivery Nfp_sim.Server.t array ref = ref [||] in
         let agent_core : cdelivery Nfp_sim.Server.t option ref = ref None in
         (* Channels into the merger ports ("merger#i", "merger-agent");
@@ -1185,17 +1166,11 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
         let merger_channels : cdelivery Channel.t option array ref = ref [||] in
         let agent_channel : cdelivery Channel.t option ref = ref None in
         let offer_merger i (d : cdelivery) =
-          let chans = !merger_channels in
-          match if Array.length chans = 0 then None else chans.(i) with
-          | Some ch -> Channel.send ch d
-          | None -> Nfp_sim.Server.offer !merger_cores.(i) d
+          send_via !merger_channels.(i) !merger_cores.(i) d
         in
         let route_merge (d : cdelivery) =
           match !agent_core with
-          | Some agent -> (
-              match !agent_channel with
-              | Some ch -> Channel.send ch d
-              | None -> Nfp_sim.Server.offer agent d)
+          | Some agent -> send_via !agent_channel agent d
           | None ->
               offer_merger
                 (slot_of_pid (Context.pid d.d_ctx) (Array.length !merger_cores))
@@ -1332,13 +1307,36 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
                            spec.next))
               arr)
           cmerge_table;
-        (* Runtime: walk a compiled send array with a cursor; the cursor
-           survives backpressure retries, so each target is offered in
-           order exactly once. Sends into a bypassed NF slot run the
-           NF's action program immediately instead (the failed core is
-           out of the graph); [drive] absorbs any backpressure of that
-           rerouted emission. *)
-        let rec exec_sends sends ctx =
+        (* The one NF-slot router, behind every send site and every NF
+           link channel. A steered slot looks the bucket up in the live
+           map per attempt, so a committed flip takes effect for every
+           not-yet-offered packet and a retry lands on the new owner; a
+           static slot hashes to a fixed shard. [via] is the replica
+           whose link channel is releasing [ctx], or -1 at a send site:
+           a released packet keeps its shard unless the map moved it,
+           and enters the ring directly. A bypassed replica is out of
+           the graph: the slot's action program runs immediately
+           instead, and [drive] absorbs that emission's backpressure. *)
+        let rec send_nf slot ~via ctx =
+          let reps = !nf_servers.(slot) in
+          let n = Array.length reps in
+          let r =
+            if n < 2 then 0
+            else
+              match !steers.(slot) with
+              | Some st -> st.st_map.(packet_bucket ctx slot (Array.length st.st_map))
+              | None -> if via >= 0 then via else packet_bucket ctx slot n
+          in
+          if !bypassed.(slot).(r) then begin
+            incr bypassed_packets;
+            drive (exec_prog !nf_cprogs.(slot) ctx);
+            true
+          end
+          else send_via (if via < 0 then !nf_channels.(slot).(r) else None) reps.(r) ctx
+        (* Walk a compiled send array with a cursor; the cursor survives
+           backpressure retries, so each target is offered in order
+           exactly once. *)
+        and exec_sends sends ctx =
           let n = Array.length sends in
           if n = 0 then const_true
           else begin
@@ -1349,34 +1347,7 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
                 else
                   let ok =
                     match sends.(i) with
-                    | S_nf slot ->
-                        let reps = !nf_servers.(slot) in
-                        (* Steered slots look the bucket up in the live
-                           map — per attempt, so a committed flip takes
-                           effect for every not-yet-offered packet, and
-                           an in-flight retry lands on the new owner. *)
-                        let r =
-                          if Array.length reps < 2 then 0
-                          else
-                            match !steers.(slot) with
-                            | Some st ->
-                                st.st_map.(rss_hash ctx slot
-                                           mod Array.length st.st_map)
-                            | None -> shard_of ctx slot (Array.length reps)
-                        in
-                        if Array.length !bypassed > 0 && !bypassed.(slot).(r) then begin
-                          incr bypassed_packets;
-                          drive (exec_prog !nf_cprogs.(slot) ctx);
-                          true
-                        end
-                        else begin
-                          let chans = !nf_channels in
-                          match
-                            if Array.length chans = 0 then None else chans.(slot).(r)
-                          with
-                          | Some ch -> Channel.send ch ctx
-                          | None -> Nfp_sim.Server.offer reps.(r) ctx
-                        end
+                    | S_nf slot -> send_nf slot ~via:(-1) ctx
                     | S_merge { merge; branch; nil } ->
                         route_merge { d_ctx = ctx; d_merge = merge; d_branch = branch; d_nil = nil }
                     | S_deliver v -> (
@@ -1425,7 +1396,7 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
            interpretive path). Replica 0 is the caller's NF instance;
            further replicas are fresh instances from [Nf.fresh], each
            with its own state, recovery cell, fault stream and probe. *)
-        let servers =
+        let built =
           List.mapi
             (fun slot (mid, (entry : Tables.nf_entry), (nf0 : Nfp_nf.Nf.t)) ->
               let prog = compile_actions ~mid ~self:(Tables.D_nf entry.nf) entry.actions in
@@ -1455,11 +1426,7 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
                 | Some (ec : elastic_config) ->
                     ec.max_replicas > 1
                     && Replication.migratable nf0
-                    && Replication.shardable ~plan:(plan_of_mid mid)
-                         ~nf_of:(fun n ->
-                           let _, _, nfs = table.(mid - 1) in
-                           nfs n)
-                         entry.nf
+                    && shardable mid entry.nf
                 | None -> false
               in
               let n_replicas =
@@ -1616,22 +1583,13 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
                 if r = 0 then Printf.sprintf "mid%d:%s" mid entry.nf
                 else Printf.sprintf "mid%d:%s@%d" mid entry.nf r
               in
-              let server =
-                Nfp_sim.Server.create ~engine ~name ~ring_capacity:config.ring_capacity
-                  ~batch ~burst_saving_ns ~jitter ?watermarks:wm
-                  ?fault:(fault_for name) ~service_ns ~execute ()
-              in
-              self_pressured := (fun () -> Nfp_sim.Server.pressured server);
-              (match recovery with
-              | Some (_, _, _, charge, _) -> charge := Nfp_sim.Server.charge server
-              | None -> ());
               (* Bypass recovery: mark the replica, reroute this core's
                  casualties (the in-flight batch its kill reclaimed, and
                  any pending emissions) plus the queued backlog through
                  its action program, so every packet lands in exactly
                  one ledger bucket and no merger waits on this branch.
                  Other replicas of the slot keep processing. *)
-              let drain () =
+              let drain server =
                 !bypassed.(slot).(r) <- true;
                 Nfp_sim.Server.set_casualty_sink server (fun jobs emits ->
                     List.iter
@@ -1648,20 +1606,16 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
                   backlog;
                 List.length backlog
               in
-              register_probe ~nf:(mid, entry.nf) ~drain
-                ?checkpoint:
-                  (match recovery with
-                  | Some (take_checkpoint, _, _, _, _) ->
-                      Some
-                        (fun () ->
-                          if not (Nfp_sim.Server.is_down server) then
-                            take_checkpoint ~forced:false ())
-                  | None -> None)
-                ?replay:
-                  (match recovery with
-                  | Some (_, _, replay, _, _) -> Some replay
-                  | None -> None)
-                server;
+              let server =
+                core ~nf:(mid, entry.nf) ~drain
+                  ?checkpoint:(Option.map (fun (take, _, _, _, _) -> take ~forced:false) recovery)
+                  ?replay:(Option.map (fun (_, _, replay, _, _) -> replay) recovery)
+                  ~name ~jitter ~service_ns ~execute ()
+              in
+              self_pressured := (fun () -> Nfp_sim.Server.pressured server);
+              (match recovery with
+              | Some (_, _, _, charge, _) -> charge := Nfp_sim.Server.charge server
+              | None -> ());
               ( server,
                 match recovery with
                 | Some (_, _, _, _, refresh) -> refresh
@@ -1675,22 +1629,20 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
                       | Some fresh -> fresh ()
                       | None -> assert false (* replica_count guarantees fresh *))
               in
-              (* Build replicas in index order: each creation splits the
-                 jitter PRNG, and the replicas=1 trace must keep the
-                 historical split sequence. Standby replicas (index >=
-                 the static count) split the independent elastic stream
-                 instead, leaving the main sequence untouched. *)
-              let reps = Array.make n_replicas None in
-              Array.iteri
-                (fun r nf ->
-                  let jitter =
-                    if r < base_replicas then jitter_for () else elastic_jitter_for ()
-                  in
-                  reps.(r) <- Some (make_replica r nf jitter))
-                replica_nfs;
-              let pairs = Array.map Option.get reps in
-              let reps = Array.map fst pairs in
-              let refreshers = Array.map snd pairs in
+              (* Build replicas in index order ([Array.init] applies in
+                 order): each creation splits the jitter PRNG, and the
+                 replicas=1 trace must keep the historical split
+                 sequence. Standby replicas (index >= the static count)
+                 split the independent elastic stream instead, leaving
+                 the main sequence untouched. *)
+              let reps, refreshers =
+                Array.split
+                  (Array.init n_replicas (fun r ->
+                       let jitter =
+                         if r < base_replicas then jitter_for () else elastic_jitter_for ()
+                       in
+                       make_replica r replica_nfs.(r) jitter))
+              in
               replica_layout :=
                 ( mid,
                   entry,
@@ -1723,55 +1675,29 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
                 prog,
                 Option.map (fun st -> (st, replica_nfs, refreshers)) steer ))
             nf_impls
+          |> Array.of_list
         in
-        let built = servers in
-        let servers = List.map (fun (r, _, _) -> r) built in
-        let progs = List.map (fun (_, p, _) -> p) built in
-        steers :=
-          Array.of_list
-            (List.map (fun (_, _, e) -> Option.map (fun (st, _, _) -> st) e) built);
-        nf_servers := Array.of_list servers;
-        nf_cprogs := Array.of_list progs;
-        bypassed :=
-          Array.of_list
-            (List.map (fun reps -> Array.make (Array.length reps) false) servers);
-        (* Channelize the NF ports. Delivery re-resolves steering and
-           bypass at release time: a packet buffered on the link while a
-           migration flips its bucket, or while the watchdog bypasses
-           the replica, lands where the packet would be routed *now* —
-           the same rule the send site applies — so channel residency
-           can never resurrect a retired owner's state. The reroute of a
+        nf_servers := Array.map (fun (reps, _, _) -> reps) built;
+        nf_cprogs := Array.map (fun (_, prog, _) -> prog) built;
+        steers := Array.map (fun (_, _, e) -> Option.map (fun (st, _, _) -> st) e) built;
+        bypassed := Array.map (fun reps -> Array.make (Array.length reps) false) !nf_servers;
+        (* Channelize the NF ports. Releases go back through the slot
+           router, so a packet buffered on the link while a migration
+           flips its bucket, or while the watchdog bypasses the replica,
+           lands where it would be routed *now*: channel residency can
+           never resurrect a retired owner's state. The reroute of a
            Down link runs the slot's action program off-core,
            bypass-style: downstream sees every expected branch. *)
-        if links_on then
-          nf_channels :=
-            Array.of_list
-              (List.mapi
-                 (fun slot reps ->
-                   Array.init (Array.length reps) (fun r ->
-                       let deliver ctx =
-                         let reps = !nf_servers.(slot) in
-                         let r' =
-                           if Array.length reps < 2 then 0
-                           else
-                             match !steers.(slot) with
-                             | Some st ->
-                                 st.st_map.(rss_hash ctx slot
-                                            mod Array.length st.st_map)
-                             | None -> r
-                         in
-                         if Array.length !bypassed > 0 && !bypassed.(slot).(r') then begin
-                           incr bypassed_packets;
-                           drive (exec_prog !nf_cprogs.(slot) ctx);
-                           true
-                         end
-                         else Nfp_sim.Server.offer reps.(r') ctx
-                       in
-                       let reroute ctx = drive (exec_prog !nf_cprogs.(slot) ctx) in
-                       channel_for
-                         ~name:(Nfp_sim.Server.name reps.(r))
-                         ~deliver ~reroute))
-                 servers);
+        nf_channels :=
+          Array.mapi
+            (fun slot reps ->
+              Array.mapi
+                (fun r srv ->
+                  channel_for ~name:(Nfp_sim.Server.name srv)
+                    ~deliver:(send_nf slot ~via:r)
+                    ~reroute:(fun ctx -> drive (exec_prog !nf_cprogs.(slot) ctx)))
+                reps)
+            !nf_servers;
         (* ---------------------------------------------------------- *)
         (* Elastic controller. Ticks every [control_interval_ns]      *)
         (* while the system has work (kicked from inject, stops when  *)
@@ -1786,34 +1712,22 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
         | None -> ()
         | Some (ec : elastic_config) ->
             let eslots =
-              Array.of_list
-                (List.concat
-                   (List.mapi
-                      (fun slot (reps, _, e) ->
-                        match e with
-                        | Some (st, nfs, refs) -> [ (slot, reps, nfs, refs, st) ]
-                        | None -> [])
-                      built))
+              Array.to_list built
+              |> List.mapi (fun slot (reps, _, e) ->
+                     Option.map (fun (st, nfs, refs) -> (slot, reps, nfs, refs, st)) e)
+              |> List.filter_map Fun.id |> Array.of_list
             in
             if Array.length eslots > 0 then begin
               let nb = ec.buckets in
-              (* Same bytes, same hash: [Flow.t] fields are the packet
-                 fields [rss_hash] reads ([sip_int] is the unsigned int
-                 of the 32-bit address), so the extract predicate's
-                 bucket agrees with the steering bucket of every packet
-                 of the flow. *)
-              let bucket_of_flow (f : Flow.t) =
-                let a =
-                  Nfp_algo.Hashing.pack_a_int
-                    (Int32.to_int f.Flow.sip land 0xffffffff)
-                    f.Flow.sport f.Flow.proto
-                in
-                let b =
-                  Nfp_algo.Hashing.pack_b_int
-                    (Int32.to_int f.Flow.dip land 0xffffffff)
-                    f.Flow.dport
-                in
-                Nfp_algo.Hashing.rss2_int a b mod nb
+              (* [sip_int]/[dip_int] are the unsigned ints of the 32-bit
+                 addresses, so the extract predicate's bucket agrees with
+                 the steering bucket of every packet of the flow. *)
+              let flow_bucket (f : Flow.t) =
+                rss_bucket
+                  ~sip:(Int32.to_int f.sip land 0xffffffff)
+                  ~sport:f.sport ~proto:f.proto
+                  ~dip:(Int32.to_int f.dip land 0xffffffff)
+                  ~dport:f.dport nb
               in
               let owned st r =
                 Array.fold_left (fun acc o -> if o = r then acc + 1 else acc) 0 st.st_map
@@ -1823,12 +1737,9 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
                  activate it, rebalance onto it, or migrate toward it
                  until the partition heals. *)
               let link_ok slot r =
-                let chans = !nf_channels in
-                if Array.length chans = 0 then true
-                else
-                  match chans.(slot).(r) with
-                  | Some ch -> not (Channel.is_down ch)
-                  | None -> true
+                match !nf_channels.(slot).(r) with
+                | Some ch -> not (Channel.is_down ch)
+                | None -> true
               in
               let alive slot (reps : Context.t Nfp_sim.Server.t array) r =
                 (not (Nfp_sim.Server.is_down reps.(r))) && link_ok slot r
@@ -1837,26 +1748,14 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
                  ("migrate:<replica>"): moved in-flight packets cross the
                  fabric like any other edge, so a plan can perturb the
                  re-home path independently of the data path. *)
-              let mig_channels : (int, Context.t Channel.t option array) Hashtbl.t =
-                Hashtbl.create 8
-              in
+              let mig_channels = Hashtbl.create 8 in
               Array.iter
-                (fun (slot, (reps : Context.t Nfp_sim.Server.t array), _, _, _) ->
+                (fun (slot, reps, _, _, _) ->
                   Hashtbl.replace mig_channels slot
                     (Array.map
-                       (fun srv ->
-                         channel_for
-                           ~name:("migrate:" ^ Nfp_sim.Server.name srv)
-                           ~deliver:(fun ctx -> Nfp_sim.Server.offer srv ctx)
-                           ~reroute:(fun ctx ->
-                             drive (fun () -> Nfp_sim.Server.offer srv ctx)))
+                       (fun srv -> channel_to ("migrate:" ^ Nfp_sim.Server.name srv) srv)
                        reps))
                 eslots;
-              let mig_channel slot r =
-                match Hashtbl.find_opt mig_channels slot with
-                | Some arr -> arr.(r)
-                | None -> None
-              in
               let occ reps r =
                 float_of_int (Nfp_sim.Server.queue_length reps.(r))
                 /. float_of_int (max 1 config.ring_capacity)
@@ -1903,7 +1802,7 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
                       let backlog = Nfp_sim.Server.take_backlog src in
                       let moved, kept =
                         List.partition
-                          (fun ctx -> List.mem (rss_hash ctx slot mod nb) mg.mg_buckets)
+                          (fun ctx -> List.mem (packet_bucket ctx slot nb) mg.mg_buckets)
                           backlog
                       in
                       if Nfp_sim.Server.free_slots dst < List.length moved then begin
@@ -1933,7 +1832,7 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
                         (match nfs.(mg.mg_src).Nfp_nf.Nf.extract with
                         | Some extract ->
                             let in_moved flow =
-                              List.mem (bucket_of_flow flow) mg.mg_buckets
+                              List.mem (flow_bucket flow) mg.mg_buckets
                             in
                             Nfp_nf.Nf.absorb nfs.(mg.mg_dst) (extract in_moved)
                         | None -> ());
@@ -1956,13 +1855,8 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
                            Under links the re-home crosses the migrate
                            channel — drops there retransmit like any
                            other edge. *)
-                        List.iter
-                          (fun ctx ->
-                            match mig_channel slot mg.mg_dst with
-                            | Some ch -> drive (fun () -> Channel.send ch ctx)
-                            | None ->
-                                drive (fun () -> Nfp_sim.Server.offer dst ctx))
-                          moved
+                        let channel = (Hashtbl.find mig_channels slot).(mg.mg_dst) in
+                        List.iter (fun ctx -> drive (fun () -> send_via channel dst ctx)) moved
                       end
                     end
               in
@@ -2063,15 +1957,36 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
                   end
                 end
               in
+              (* Whether the controller can move a draining replica's
+                 buckets by itself, waiting out a backoff at most: the
+                 source and some other active replica must be alive. *)
+              let drain_movable (slot, reps, _, _, st) =
+                let rec has_dst r =
+                  r < st.st_active
+                  && ((r <> st.st_draining && alive slot reps r) || has_dst (r + 1))
+                in
+                alive slot reps st.st_draining && has_dst 0
+              in
               let active = ref false in
               let rec tick () =
                 if not !controller_down then Array.iter step eslots;
+                (* A drain whose source, or every destination, is down
+                   or cut off waits for a revive, and only another event
+                   can bring one (a watchdog restart, a hang's end, a
+                   link healing). With nothing else on the calendar it
+                   never comes, so polling that drain would spin
+                   forever. *)
                 let pending =
                   Array.exists
-                    (fun (_, _, _, _, st) -> st.st_mig <> None || st.st_draining >= 0)
+                    (fun ((_, _, _, _, st) as es) ->
+                      st.st_mig <> None
+                      || st.st_draining >= 0
+                         && (Nfp_sim.Engine.pending engine > 0 || drain_movable es))
                     eslots
                   || List.exists
-                       (fun (p : probe) -> p.pr_queue () > 0 || p.pr_busy ())
+                       (fun (Probe p) ->
+                         Nfp_sim.Server.queue_length p.server > 0
+                         || Nfp_sim.Server.is_busy p.server)
                        !probes
                 in
                 if pending then
@@ -2242,25 +2157,13 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
               end
             end
           in
-          let name = Printf.sprintf "merger#%d" index in
-          let server =
-            Nfp_sim.Server.create ~engine ~name ~ring_capacity:config.ring_capacity
-              ~batch ~burst_saving_ns ~jitter:(jitter_for ()) ?watermarks:wm
-              ?fault:(fault_for name) ~service_ns ~execute ()
-          in
-          register_probe server;
-          server
+          core
+            ~name:(Printf.sprintf "merger#%d" index)
+            ~jitter:(jitter_for ()) ~service_ns ~execute ()
         in
         merger_cores := Array.init (max 1 config.mergers) make_merger;
-        if links_on then
-          merger_channels :=
-            Array.map
-              (fun srv ->
-                channel_for
-                  ~name:(Nfp_sim.Server.name srv)
-                  ~deliver:(fun (d : cdelivery) -> Nfp_sim.Server.offer srv d)
-                  ~reroute:(fun d -> drive (fun () -> Nfp_sim.Server.offer srv d)))
-              !merger_cores;
+        merger_channels :=
+          Array.map (fun srv -> channel_to (Nfp_sim.Server.name srv) srv) !merger_cores;
         if config.mergers > 1 then begin
           let instances = !merger_cores in
           let service_ns _ =
@@ -2269,20 +2172,12 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
           in
           let execute (d : cdelivery) =
             let i = slot_of_pid (Context.pid d.d_ctx) (Array.length instances) in
-            emitter [ (fun () -> offer_merger i d) ]
+            fun () -> offer_merger i d
           in
           let agent =
-            Nfp_sim.Server.create ~engine ~name:"merger-agent"
-              ~ring_capacity:config.ring_capacity ~batch ~burst_saving_ns
-              ~jitter:(jitter_for ()) ?watermarks:wm ?fault:(fault_for "merger-agent")
-              ~service_ns ~execute ()
+            core ~name:"merger-agent" ~jitter:(jitter_for ()) ~service_ns ~execute ()
           in
-          register_probe agent;
-          if links_on then
-            agent_channel :=
-              channel_for ~name:"merger-agent"
-                ~deliver:(fun (d : cdelivery) -> Nfp_sim.Server.offer agent d)
-                ~reroute:(fun d -> drive (fun () -> Nfp_sim.Server.offer agent d));
+          agent_channel := channel_to "merger-agent" agent;
           agent_core := Some agent
         end;
         let classifier_progs =
@@ -2297,20 +2192,12 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
               (cost.classifier + prog.p_static + dyn_cycles prog ctx)
           in
           let execute ctx = exec_prog classifier_progs.(Context.mid ctx - 1) ctx in
-          let clf =
-            Nfp_sim.Server.create ~engine ~name:"classifier"
-              ~ring_capacity:config.ring_capacity ~batch ~burst_saving_ns
-              ~jitter:(jitter_for ()) ?watermarks:wm ?fault:(fault_for "classifier")
-              ~service_ns ~execute ()
-          in
-          register_probe clf;
-          clf
+          core ~name:"classifier" ~jitter:(jitter_for ()) ~service_ns ~execute ()
         in
         let sampler () =
           stats_of_server classifier
-          :: (List.concat_map
-                (fun reps -> Array.to_list (Array.map stats_of_server reps))
-                servers
+          :: (Array.to_list (Array.concat (Array.to_list !nf_servers))
+             |> List.map stats_of_server
              |> List.sort (fun a b -> compare a.core b.core))
           @ Array.to_list (Array.map stats_of_server !merger_cores)
           @ (match !agent_core with Some a -> [ stats_of_server a ] | None -> [])
@@ -2438,7 +2325,7 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
                     match verdict with
                     | Nfp_nf.Nf.Forward -> (
                         match next with
-                        | Some core -> fun () -> Nfp_sim.Server.offer core job
+                        | Some next -> fun () -> Nfp_sim.Server.offer next job
                         | None ->
                             deliver_out ~version:1 ~pid pkt;
                             const_true)
@@ -2446,15 +2333,11 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
                         incr nf_drops;
                         const_true
                   in
-                  let cname = Printf.sprintf "seq:mid%d:%s" mid name in
-                  let core =
-                    Nfp_sim.Server.create ~engine ~name:cname
-                      ~ring_capacity:config.ring_capacity ~batch ~burst_saving_ns
-                      ~jitter:(config.jitter, Nfp_algo.Prng.split twin_prng)
-                      ?watermarks:wm ?fault:(fault_for cname) ~service_ns ~execute ()
-                  in
-                  register_probe core;
-                  Some core
+                  Some
+                    (core
+                       ~name:(Printf.sprintf "seq:mid%d:%s" mid name)
+                       ~jitter:(config.jitter, Nfp_algo.Prng.split twin_prng)
+                       ~service_ns ~execute ())
             in
             build chain)
   in
@@ -2483,9 +2366,9 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
         let last_progress = Array.make n 0.0 in
         let active = ref false in
         let next_ckpt = ref infinity in
-        let mark_progress i (p : probe) now =
-          prev_processed.(i) <- p.pr_processed ();
-          prev_stalled.(i) <- p.pr_stalled ();
+        let mark_progress i (Probe p) now =
+          prev_processed.(i) <- Nfp_sim.Server.processed p.server;
+          prev_stalled.(i) <- Nfp_sim.Server.stalled_ns p.server;
           last_progress.(i) <- now
         in
         (* Circuit breaker: consecutive watchdog detections of each
@@ -2497,7 +2380,7 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
            behavior, bit for bit). *)
         let consec = Array.make n 0 in
         let breaker_on = fc.breaker_threshold > 0 in
-        let recover i (p : probe) =
+        let recover i (Probe p as probe) =
           incr detections;
           consec.(i) <- consec.(i) + 1;
           let restart_delay () =
@@ -2510,28 +2393,31 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
           in
           let restart_core ~on_up () =
             wstate.(i) <- `Restarting;
-            p.pr_kill ();
+            Nfp_sim.Server.kill p.server;
             (* Lossless restart: restore the last checkpoint and replay
                the input log before the core comes back — the replay
                time extends the outage — then re-admit the reclaimed
                casualties instead of flushing them. *)
-            let replay_ns = if lossless then p.pr_replay () else 0.0 in
+            let replay_ns = if lossless then p.replay () else 0.0 in
             Nfp_sim.Engine.schedule engine ~delay:(restart_delay () +. replay_ns)
               (fun () ->
-                if lossless then salvaged := !salvaged + p.pr_casualties ();
-                ignore (p.pr_revive ~flush:(not lossless));
+                if lossless then begin
+                  let jobs, emits = Nfp_sim.Server.casualty_counts p.server in
+                  salvaged := !salvaged + jobs + emits
+                end;
+                ignore (Nfp_sim.Server.revive ~flush:(not lossless) p.server);
                 incr restarts;
                 wstate.(i) <- `Up;
-                mark_progress i p (Nfp_sim.Engine.now engine);
+                mark_progress i probe (Nfp_sim.Engine.now engine);
                 on_up ())
           in
           let bypass_core () =
             wstate.(i) <- `Bypassed;
             incr bypasses;
-            p.pr_kill ();
-            ignore (p.pr_drain ())
+            Nfp_sim.Server.kill p.server;
+            ignore (p.drain p.server)
           in
-          match p.pr_nf with
+          match p.nf with
           | None -> restart_core ~on_up:ignore ()
           | Some (mid, nfname) ->
               if breaker_on && consec.(i) > fc.breaker_threshold then begin
@@ -2566,35 +2452,40 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
              wake/sleep cycle, so an idle system takes no checkpoints. *)
           if lossless && now >= !next_ckpt then begin
             Array.iteri
-              (fun i p -> if wstate.(i) = `Up then p.pr_checkpoint ())
+              (fun i (Probe p) ->
+                if wstate.(i) = `Up && not (Nfp_sim.Server.is_down p.server) then
+                  p.checkpoint ())
               probe_arr;
             next_ckpt := now +. fc.checkpoint_interval_ns
           end;
           let pending = ref false in
           Array.iteri
-            (fun i p ->
-              let pc = p.pr_processed () and st = p.pr_stalled () in
+            (fun i (Probe p as probe) ->
+              let s = p.server in
+              let pc = Nfp_sim.Server.processed s and st = Nfp_sim.Server.stalled_ns s in
+              let down = Nfp_sim.Server.is_down s in
+              let queued = Nfp_sim.Server.queue_length s > 0 in
               if pc > prev_processed.(i) || st > prev_stalled.(i) then begin
                 (* Real processed progress (not just stall retries)
                    closes the breaker window: the core is alive again. *)
                 if pc > prev_processed.(i) then consec.(i) <- 0;
-                mark_progress i p now
+                mark_progress i probe now
               end
-              else if p.pr_queue () = 0 then
+              else if not queued then
                 (* An idle core is healthy. Keeping its baseline fresh
                    makes the deadline clock start when work is queued,
                    not when it last processed — otherwise a burst
                    landing on a long-idle core (e.g. merge timeouts
                    releasing a wedge) trips an instant false kill. *)
                 last_progress.(i) <- now
-              else if p.pr_paused () && not (p.pr_down ()) then
+              else if Nfp_sim.Server.is_paused s && not down then
                 (* A quiesced migration source is healthy: the elastic
                    controller froze it deliberately and owns unfreezing
                    it (commit or abort) — declaring it dead would
                    restart a core mid-handover. The breaker window
                    stays open too: a pause is not progress. *)
                 last_progress.(i) <- now
-              else if p.pr_busy () && not (p.pr_down ()) then
+              else if Nfp_sim.Server.is_busy s && not down then
                 (* A core mid-breath is healthy: its completion event is
                    already on the calendar. With large batches a single
                    breath can legally outlast the deadline while the
@@ -2605,15 +2496,15 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
               else if
                 wstate.(i) = `Up
                 && now -. last_progress.(i) > fc.watchdog_deadline_ns
-              then recover i p;
-              (match wstate.(i) with
+              then recover i probe;
+              match wstate.(i) with
               | `Bypassed -> ()
               | `Restarting -> pending := true
               | `Up ->
                   if
-                    (if p.pr_down () then p.pr_queue () > 0
-                     else p.pr_queue () > 0 || p.pr_busy ())
-                  then pending := true))
+                    Nfp_sim.Server.queue_length s > 0
+                    || (not (Nfp_sim.Server.is_down s)) && Nfp_sim.Server.is_busy s
+                  then pending := true)
             probe_arr;
           if !pending then
             Nfp_sim.Engine.schedule engine ~delay:fc.watchdog_interval_ns check
@@ -2653,7 +2544,7 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
           if now -. !last_poll >= oc.pressure_poll_ns then begin
             last_poll := now;
             let pressured =
-              Array.exists (fun (p : probe) -> p.pr_pressured ()) probe_arr
+              Array.exists (fun (Probe p) -> Nfp_sim.Server.pressured p.server) probe_arr
             in
             if pressured then begin
               if !shed_level < max_class then incr shed_level
@@ -2677,38 +2568,44 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
     let cores =
       Array.to_list
         (Array.mapi
-           (fun i (p : probe) ->
+           (fun i (Probe { server = s; _ }) ->
+             let name = Nfp_sim.Server.name s in
              {
-               Nfp_sim.Harness.core = p.pr_name;
+               Nfp_sim.Harness.core = name;
                state =
                  (match wstate.(i) with
                  | `Bypassed -> "bypassed"
                  | `Restarting -> "restarting"
                  | `Up ->
-                     if p.pr_down () then "down"
-                     else (
-                       match !core_state_override p.pr_name with
-                       | Some s -> s
-                       | None -> "up"));
-               processed = p.pr_processed ();
-               queue = p.pr_queue ();
+                     if Nfp_sim.Server.is_down s then "down"
+                     else Option.value (!core_state_override name) ~default:"up");
+               processed = Nfp_sim.Server.processed s;
+               queue = Nfp_sim.Server.queue_length s;
              })
            probe_arr)
     in
-    let sum f = Array.fold_left (fun acc p -> acc + f p) 0 probe_arr in
-    let rejected_total = sum (fun (p : probe) -> p.pr_rejected ()) in
+    let crashes = ref 0 and fault_drops = ref 0 and flushed = ref 0 in
+    let rejected_total = ref 0 and pressure_episodes = ref 0 in
+    Array.iter
+      (fun (Probe { server = s; _ }) ->
+        crashes := !crashes + Nfp_sim.Server.crashes s;
+        fault_drops := !fault_drops + Nfp_sim.Server.fault_drops s;
+        flushed := !flushed + Nfp_sim.Server.flushed s;
+        rejected_total := !rejected_total + Nfp_sim.Server.rejected s;
+        pressure_episodes := !pressure_episodes + Nfp_sim.Server.pressure_episodes s)
+      probe_arr;
     {
       Nfp_sim.Harness.cores;
       detections = !detections;
-      crashes = sum (fun (p : probe) -> p.pr_crashes ());
+      crashes = !crashes;
       restarts = !restarts;
       bypasses = !bypasses;
       degrades = !degrades;
       recoveries = !recoveries;
       merge_timeouts = !merge_timeouts;
       bypassed_packets = !bypassed_packets;
-      fault_drops = sum (fun (p : probe) -> p.pr_fault_drops ());
-      flushed = sum (fun (p : probe) -> p.pr_flushed ());
+      fault_drops = !fault_drops;
+      flushed = !flushed;
       checkpoints = !checkpoints;
       forced_checkpoints = !forced_checkpoints;
       replayed = !replayed;
@@ -2721,11 +2618,11 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
              refusals (the only [offer] sites outside a server are in
              [inject]); every other refusal a server ring recorded is a
              backpressure retry event, not a loss. *)
-          internal_rejected = max 0 (rejected_total - !ring_drops);
+          internal_rejected = max 0 (!rejected_total - !ring_drops);
           nf_dropped = !nf_drops;
           no_match = !unmatched;
-          fault_dropped = sum (fun (p : probe) -> p.pr_fault_drops ());
-          flush_lost = sum (fun (p : probe) -> p.pr_flushed ());
+          fault_dropped = !fault_drops;
+          flush_lost = !flushed;
           merge_timed_out = !merge_timeouts;
           shed = !shed_total;
           shed_by_class =
@@ -2734,7 +2631,7 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
             | Some _ -> Array.to_list (Array.mapi (fun c n -> (c, n)) shed_class));
           degraded = !degraded_packets;
         };
-      pressure_episodes = sum (fun (p : probe) -> p.pr_pressure_episodes ());
+      pressure_episodes = !pressure_episodes;
       breaker_trips = !breaker_trips;
       backoffs = !backoffs;
       degrade_switches = !degrade_switches;
@@ -2797,9 +2694,8 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
     health;
   }
 
-let make ?path ?classify ?config ?batch_size ?replicas ?fault ?overload ?elastic
-    ?links ?stats ?replication ~plan ~nfs engine ~output =
-  make_multi ?path ?classify ?config ?batch_size ?replicas ?fault ?overload ?elastic
-    ?links ?stats ?replication
+let make ?path ?classify ?config ?fault ?overload ?elastic ?links ?stats ?replication
+    ~plan ~nfs engine ~output =
+  make_multi ?path ?classify ?config ?fault ?overload ?elastic ?links ?stats ?replication
     ~graphs:[ (Flow_match.any, plan, nfs) ]
     engine ~output

@@ -20,13 +20,24 @@ type config = {
           burst); default {!Nfp_sim.Cost.default}'s [batch]. 1 restores
           per-packet (legacy) execution bit-for-bit. Output is
           batch-size invariant — only timing moves (test_batch proves
-          it differentially). *)
+          it differentially). Both execution paths use it. *)
   replicas : int;
-      (** target replica count for NFs the replication analysis clears
-          ({!Nfp_core.Replication.shardable}: a safe state-access
-          profile and no order-sensitive NF downstream); all other NFs
-          keep a single instance. Default 1 — bit-identical to the
-          pre-replication deployment. *)
+      (** target replica count (compiled path only) for NFs the
+          replication analysis clears ({!Nfp_core.Replication.shardable}:
+          a safe state-access profile, the [fresh]/[merge] machinery,
+          and no Sequential-strategy NF downstream in the graph); all
+          other NFs keep a single instance. Every send site steers each
+          flow to a fixed replica by hashing its packed 5-tuple on an
+          independent seeded stream ({!Nfp_algo.Hashing.rss2_int},
+          uncorrelated with the microflow cache's bucket hash), so
+          per-flow state never splits across replicas; commutative
+          state recombines through [Nf.merge] (see {!replica_report}).
+          Replication composes with batching, fault injection,
+          checkpoints and lossless replay: each replica carries its own
+          recovery cell, probe and health/ledger counters, and its core
+          name [mid<k>:<nf>@<r>] is independently targetable by fault
+          plans. Default 1 — bit-identical to the pre-replication
+          deployment. *)
 }
 
 val default_config : config
@@ -301,8 +312,6 @@ val make :
   ?path:[ `Compiled | `Interpretive ] ->
   ?classify:[ `Cached | `Scan ] ->
   ?config:config ->
-  ?batch_size:int ->
-  ?replicas:int ->
   ?fault:fault_config ->
   ?overload:overload_config ->
   ?elastic:elastic_config ->
@@ -322,8 +331,6 @@ val make_multi :
   ?path:[ `Compiled | `Interpretive ] ->
   ?classify:[ `Cached | `Scan ] ->
   ?config:config ->
-  ?batch_size:int ->
-  ?replicas:int ->
   ?fault:fault_config ->
   ?overload:overload_config ->
   ?elastic:elastic_config ->
@@ -357,26 +364,9 @@ val make_multi :
     classifier core, so measured latency reflects the lookup structure
     when those terms are enabled.
 
-    [batch_size] overrides [config.batch_size] for this deployment —
-    the knob the batch bench sweeps without rebuilding configs.
-
-    [replicas] overrides [config.replicas] (compiled path only): NFs
-    the replication analysis clears ({!Nfp_core.Replication.shardable}
-    — a safe state-access profile, the [fresh]/[merge] machinery, and
-    no Sequential-strategy NF downstream in the graph) are deployed as
-    that many RSS-sharded instances. A shard stage at
-    every send site steers each flow to a fixed replica by hashing its
-    packed 5-tuple on an independent seeded stream
-    ({!Nfp_algo.Hashing.rss2_int} — uncorrelated with the microflow
-    cache's bucket hash), so per-flow state never splits across
-    replicas; commutative state recombines through [Nf.merge] (see
-    {!replica_report}). Replication composes with batching, fault
-    injection, checkpoints and lossless replay — each replica carries
-    its own recovery cell, probe, and health/ledger counters (core
-    names [mid<k>:<nf>@<r>] are independently targetable by fault
-    plans). The default (1) is bit-identical to the pre-replication
-    deployment. When a [replication] ref is supplied it is filled with
-    a thunk producing the per-NF {!replica_report} list.
+    When a [replication] ref is supplied it is filled with a thunk
+    producing the per-NF {!replica_report} list (see
+    [config.replicas]).
 
     [path] selects the execution strategy. [`Compiled] (the default)
     translates every plan once, at deployment time, into a preresolved
@@ -417,5 +407,6 @@ val make_multi :
     domain and, when its [reliable] flag is set, the per-link ARQ
     channels — see {!links_config}.
     @raise Invalid_argument on an empty table, a missing NF, invalid
-    overload watermarks, or [fault], [overload], [links] or
-    [replicas > 1] combined with the [`Interpretive] path. *)
+    overload, elastic or links settings, or [fault], [overload],
+    [elastic], [links] or [config.replicas > 1] combined with the
+    [`Interpretive] path. *)

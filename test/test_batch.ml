@@ -49,6 +49,9 @@ let traffic () =
    perturbed by admission refusals that depend on queue timing. *)
 let roomy = { Nfp_infra.System.default_config with ring_capacity = 8192 }
 
+(* The roomy deployment at breath size [b]. *)
+let breath b = { roomy with batch_size = b }
+
 let lossless_fault plan =
   {
     Nfp_infra.System.default_fault_config with
@@ -71,13 +74,11 @@ type observation = {
   digests : (string * int) list;
 }
 
-let observe ?(path = `Compiled) ?fault ~batch_size ~plan ~bindings ~arrivals ~packets
-    () =
+let observe ?(path = `Compiled) ?fault ~config ~plan ~bindings ~arrivals ~packets () =
   let lookup, nfs = instances bindings in
   let outs = ref [] in
   let make engine ~output =
-    Nfp_infra.System.make ~path ?fault ~config:roomy ~batch_size ~plan ~nfs:lookup
-      engine
+    Nfp_infra.System.make ~path ?fault ~config ~plan ~nfs:lookup engine
       ~output:(fun ~pid pkt ->
         outs := (pid, Bytes.to_string (Packet.to_bytes pkt)) :: !outs;
         output ~pid pkt)
@@ -119,12 +120,13 @@ let check_equivalent ~batch reference batched =
 let sweep ?path ?fault ~text ~bindings ~arrivals ?(packets = 2000) () =
   let plan = plan_of text in
   let reference =
-    observe ?path ?fault ~batch_size:1 ~plan ~bindings ~arrivals ~packets ()
+    observe ?path ?fault ~config:(breath 1) ~plan ~bindings ~arrivals ~packets ()
   in
   List.iter
     (fun batch ->
       let batched =
-        observe ?path ?fault ~batch_size:batch ~plan ~bindings ~arrivals ~packets ()
+        observe ?path ?fault ~config:(breath batch) ~plan ~bindings ~arrivals ~packets
+          ()
       in
       check_equivalent ~batch reference batched)
     sizes;
@@ -240,11 +242,11 @@ let property_tests =
            let plan = plan_of ns_text in
            let arrivals = Nfp_sim.Harness.Burst (rate, burst) in
            let reference =
-             observe ~batch_size:1 ~plan ~bindings:ns_bindings ~arrivals ~packets ()
+             observe ~config:(breath 1) ~plan ~bindings:ns_bindings ~arrivals ~packets ()
            in
            let batched =
-             observe ~batch_size:batch ~plan ~bindings:ns_bindings ~arrivals ~packets
-               ()
+             observe ~config:(breath batch) ~plan ~bindings:ns_bindings ~arrivals
+               ~packets ()
            in
            check_equivalent ~batch reference batched;
            true));
@@ -276,12 +278,12 @@ let fwd_text =
 
 let fwd_bindings = List.init 5 (fun i -> (Printf.sprintf "f%d" i, "Forwarder"))
 
-let words_per_packet ~text ~bindings ~batch_size ~packets =
+let words_per_packet ~text ~bindings ~config ~packets =
   let plan = plan_of text in
   let lookup, _ = instances bindings in
   let gen = traffic () in
   let make engine ~output =
-    Nfp_infra.System.make ~config:roomy ~batch_size ~plan ~nfs:lookup engine ~output
+    Nfp_infra.System.make ~config ~plan ~nfs:lookup engine ~output
   in
   let run () =
     ignore
@@ -299,7 +301,7 @@ let allocation_tests =
     Alcotest.test_case "engine hot path stays under budget (forwarder chain)"
       `Quick (fun () ->
         let w =
-          words_per_packet ~text:fwd_text ~bindings:fwd_bindings ~batch_size:32
+          words_per_packet ~text:fwd_text ~bindings:fwd_bindings ~config:(breath 32)
             ~packets:4000
         in
         if w > 800.0 then
@@ -307,7 +309,7 @@ let allocation_tests =
             "allocation regression: %.1f minor words/packet (budget 800)" w);
     Alcotest.test_case "stateful chain stays under budget" `Quick (fun () ->
         let w =
-          words_per_packet ~text:ns_text ~bindings:ns_bindings ~batch_size:32
+          words_per_packet ~text:ns_text ~bindings:ns_bindings ~config:(breath 32)
             ~packets:4000
         in
         if w > 2200.0 then
@@ -316,11 +318,11 @@ let allocation_tests =
     Alcotest.test_case "batching does not allocate more than per-packet" `Quick
       (fun () ->
         let batched =
-          words_per_packet ~text:ns_text ~bindings:ns_bindings ~batch_size:32
+          words_per_packet ~text:ns_text ~bindings:ns_bindings ~config:(breath 32)
             ~packets:4000
         in
         let legacy =
-          words_per_packet ~text:ns_text ~bindings:ns_bindings ~batch_size:1
+          words_per_packet ~text:ns_text ~bindings:ns_bindings ~config:(breath 1)
             ~packets:4000
         in
         if batched > legacy +. 16.0 then

@@ -140,12 +140,16 @@ let observe ?fault ?elastic ?(config = roomy) ?(make_nf = default_nf) ?stop ~pla
   let lookup = instances ~make_nf bindings in
   let outs = ref [] in
   let replication = ref (fun () -> []) in
-  let make engine ~output =
-    Sys.make ?fault ?elastic ~replication ~config ~plan ~nfs:lookup engine
+  let engine = ref None in
+  let make e ~output =
+    engine := Some e;
+    Sys.make ?fault ?elastic ~replication ~config ~plan ~nfs:lookup e
       ~output:(fun ~pid pkt ->
         outs := (pid, Bytes.to_string (Packet.to_bytes pkt)) :: !outs;
         output ~pid pkt)
   in
+  (* [stop] also sees the engine, so a test can bound simulated time. *)
+  let stop = Option.map (fun f sys -> f (Option.get !engine) sys) stop in
   let r =
     Nfp_sim.Harness.run ~make ~gen:(traffic ()) ~arrivals ~packets ?stop ()
   in
@@ -388,7 +392,7 @@ let differential_tests =
         let plan = plan_of tag_text in
         let saw_standby = ref false and saw_migrating = ref false in
         let saw_in_flight = ref false in
-        let stop (sys : Nfp_sim.Harness.system) =
+        let stop _ (sys : Nfp_sim.Harness.system) =
           let h = sys.health () in
           List.iter
             (fun (c : Nfp_sim.Harness.core_health) ->
@@ -553,60 +557,82 @@ let random_case_arbitrary =
               faults)))
     random_case_gen
 
+(* One random case: the elastic run under its crash plan against the
+   static fault-free run. [stop] bounds the elastic run. *)
+let converges ?stop (max_replicas, buckets, batch, transfer, out_occ, spike, faults) =
+  let elastic =
+    {
+      eager with
+      max_replicas;
+      buckets;
+      migration_batch = batch;
+      transfer_ns = transfer;
+      scale_out_occupancy = out_occ;
+      scale_in_occupancy = out_occ /. 10.0;
+    }
+  in
+  let site = function
+    | 0 -> "mid1:tag"
+    | 1 -> "mid1:tag@1"
+    | 2 -> Printf.sprintf "mid1:tag@%d" (max_replicas - 1)
+    | _ -> "elastic"
+  in
+  let plan_events =
+    List.map
+      (fun (s, hang, at_ns) ->
+        if hang then Nfp_sim.Fault.hang ~at_ns ~duration_ns:150_000.0 (site s)
+        else Nfp_sim.Fault.crash ~at_ns (site s))
+      faults
+  in
+  let fault = lossless_fault (Nfp_sim.Fault.plan plan_events) in
+  let arrivals =
+    Nfp_sim.Harness.Surge
+      (Nfp_sim.Fault.surge ~base_mpps:0.4
+         [ Nfp_sim.Fault.Spike { at_ns = 0.0; duration_ns = 120_000.0; factor = spike } ])
+  in
+  let plan = plan_of tag_text in
+  let baseline, rb =
+    observe ~make_nf:tag_make_nf ~plan ~bindings:tag_bindings ~arrivals ~packets:2500 ()
+  in
+  let scaled, rr =
+    observe ?stop ~fault ~elastic ~make_nf:tag_make_nf ~plan ~bindings:tag_bindings
+      ~arrivals ~packets:2500 ()
+  in
+  (rr,
+   rb.ring_drops = 0 && rr.ring_drops = 0
+   && rr.health.flushed = 0
+   && rr.in_flight = 0
+   && baseline = scaled)
+
 let property_tests =
   [
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~count:8
          ~name:"elastic + crashed runs converge with the static fault-free run"
          random_case_arbitrary
-         (fun (max_replicas, buckets, batch, transfer, out_occ, spike, faults) ->
-           let elastic =
-             {
-               eager with
-               max_replicas;
-               buckets;
-               migration_batch = batch;
-               transfer_ns = transfer;
-               scale_out_occupancy = out_occ;
-               scale_in_occupancy = out_occ /. 10.0;
-             }
-           in
-           let site = function
-             | 0 -> "mid1:tag"
-             | 1 -> "mid1:tag@1"
-             | 2 -> Printf.sprintf "mid1:tag@%d" (max_replicas - 1)
-             | _ -> "elastic"
-           in
-           let plan_events =
-             List.map
-               (fun (s, hang, at_ns) ->
-                 if hang then
-                   Nfp_sim.Fault.hang ~at_ns ~duration_ns:150_000.0 (site s)
-                 else Nfp_sim.Fault.crash ~at_ns (site s))
-               faults
-           in
-           let fault = lossless_fault (Nfp_sim.Fault.plan plan_events) in
-           let arrivals =
-             Nfp_sim.Harness.Surge
-               (Nfp_sim.Fault.surge ~base_mpps:0.4
-                  [
-                    Nfp_sim.Fault.Spike
-                      { at_ns = 0.0; duration_ns = 120_000.0; factor = spike };
-                  ])
-           in
-           let plan = plan_of tag_text in
-           let baseline, rb =
-             observe ~make_nf:tag_make_nf ~plan ~bindings:tag_bindings ~arrivals
-               ~packets:2500 ()
-           in
-           let scaled, rr =
-             observe ~fault ~elastic ~make_nf:tag_make_nf ~plan
-               ~bindings:tag_bindings ~arrivals ~packets:2500 ()
-           in
-           rb.ring_drops = 0 && rr.ring_drops = 0
-           && rr.health.flushed = 0
-           && rr.in_flight = 0
-           && baseline = scaled));
+         (fun case -> snd (converges case)));
+    Alcotest.test_case "a drain blocked by a crashed replica lets the run finish"
+      `Quick (fun () ->
+        (* Each crash leaves a scale-in that cannot move: first the
+           draining replica itself crashes while idle, then the only
+           other active replica does. Nothing queues on the dead core
+           afterwards, so the watchdog never restarts it. Polling such
+           a drain would tick forever, past 40 s of simulated time with
+           every queue empty; the guard truncates a run at 50 ms so the
+           test fails instead of hanging. *)
+        let guard_ns = 50_000_000.0 in
+        let stop engine _ = Nfp_sim.Engine.now engine > guard_ns in
+        List.iter
+          (fun case ->
+            let rr, ok = converges ~stop case in
+            check Alcotest.bool "the run drained before the guard" true
+              (rr.duration_ns < guard_ns);
+            check Alcotest.bool "the crash landed" true (rr.health.crashes >= 1);
+            check Alcotest.bool "converged with the static run" true ok)
+          [
+            (3, 8, 5, 32687.0, 0.0023, 58.8, [ (1, false, 292822.0) ]);
+            (3, 19, 3, 22000.0, 0.0077, 58.4, [ (0, false, 345922.0); (2, true, 538248.0) ]);
+          ]);
   ]
 
 let () =

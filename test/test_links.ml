@@ -137,13 +137,13 @@ type observation = {
   digests : (string * int) list;  (** per NF, merged across replicas *)
 }
 
-let observe ?fault ?overload ?elastic ?links ?replicas ?(config = roomy)
+let observe ?fault ?overload ?elastic ?links ?(config = roomy)
     ?(make_nf = default_nf) ?stop ~plan ~bindings ~arrivals ~packets () =
   let lookup = instances ~make_nf bindings in
   let outs = ref [] in
   let replication = ref (fun () -> []) in
   let make engine ~output =
-    Sys.make ?fault ?overload ?elastic ?links ?replicas ~replication ~config ~plan
+    Sys.make ?fault ?overload ?elastic ?links ~replication ~config ~plan
       ~nfs:lookup engine
       ~output:(fun ~pid pkt ->
         outs := (pid, Bytes.to_string (Packet.to_bytes pkt)) :: !outs;
@@ -187,13 +187,13 @@ let steady = Nfp_sim.Harness.Uniform 0.5
 (* Run the linked deployment against the link-free baseline and hand
    back the linked run's ledger. Both runs must admit everything — the
    equivalence claims cover every offered packet. *)
-let equivalence ?fault ?replicas ~links:lc ?(text = tag_text)
+let equivalence ?fault ~links:lc ?(text = tag_text)
     ?(bindings = tag_bindings) ?(make_nf = tag_make_nf) ?(arrivals = steady)
     ?(packets = 2000) () =
   let plan = plan_of text in
-  let baseline, rb = observe ?replicas ~make_nf ~plan ~bindings ~arrivals ~packets () in
+  let baseline, rb = observe ~make_nf ~plan ~bindings ~arrivals ~packets () in
   let lossy, rr =
-    observe ?fault ?replicas ~links:lc ~make_nf ~plan ~bindings ~arrivals ~packets ()
+    observe ?fault ~links:lc ~make_nf ~plan ~bindings ~arrivals ~packets ()
   in
   check Alcotest.int "baseline admits everything" 0 rb.ring_drops;
   check Alcotest.int "lossy run admits everything" 0 rr.ring_drops;
@@ -657,13 +657,14 @@ let property_tests =
                  Some (lossless_fault (F.plan [ F.crash ~at_ns "mid1:tag" ]))
            in
            let plan = plan_of tag_text in
+           let config = { roomy with replicas } in
            let baseline, rb =
-             observe ~replicas ~make_nf:tag_make_nf ~plan ~bindings:tag_bindings
+             observe ~config ~make_nf:tag_make_nf ~plan ~bindings:tag_bindings
                ~arrivals:steady ~packets:2000 ()
            in
            let lossy, rr =
-             observe ?fault ~replicas ~links:(links specs) ~make_nf:tag_make_nf
-               ~plan ~bindings:tag_bindings ~arrivals:steady ~packets:2000 ()
+             observe ?fault ~config ~links:(links specs) ~make_nf:tag_make_nf ~plan
+               ~bindings:tag_bindings ~arrivals:steady ~packets:2000 ()
            in
            rb.ring_drops = 0 && rr.ring_drops = 0
            && rr.health.flushed = 0

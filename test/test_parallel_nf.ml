@@ -43,6 +43,9 @@ let traffic () =
    claim covers every offered packet. *)
 let roomy = { Sys.default_config with ring_capacity = 8192 }
 
+(* The roomy deployment at replica target [r]. *)
+let replicated r = { roomy with replicas = r }
+
 let lossless_fault plan =
   { Sys.default_fault_config with plan; merge_timeout_ns = 0.0 }
 
@@ -53,12 +56,13 @@ type observation = {
   digests : (string * int) list;  (** per NF, merged across replicas *)
 }
 
-let observe ?fault ?replicas ?(make_nf = default_nf) ~plan ~bindings ~rate ~packets () =
+let observe ?fault ?(config = roomy) ?(make_nf = default_nf) ~plan ~bindings ~rate ~packets
+    () =
   let lookup = instances ~make_nf bindings in
   let outs = ref [] in
   let replication = ref (fun () -> []) in
   let make engine ~output =
-    Sys.make ?fault ?replicas ~replication ~config:roomy ~plan ~nfs:lookup engine
+    Sys.make ?fault ~replication ~config ~plan ~nfs:lookup engine
       ~output:(fun ~pid pkt ->
         outs := (pid, Bytes.to_string (Packet.to_bytes pkt)) :: !outs;
         output ~pid pkt)
@@ -100,12 +104,12 @@ let check_equivalent baseline sharded =
 
 (* Run unreplicated and replicated (optionally also faulted), compare,
    and hand back the replicated run's ledger and report. *)
-let equivalence ?fault ?make_nf ~text ~bindings ~replicas ?(rate = 0.5)
+let equivalence ?fault ?make_nf ~text ~bindings ~config ?(rate = 0.5)
     ?(packets = 2000) () =
   let plan = plan_of text in
   let baseline, rb, _ = observe ?make_nf ~plan ~bindings ~rate ~packets () in
   let sharded, rr, report =
-    observe ?fault ?make_nf ~replicas ~plan ~bindings ~rate ~packets ()
+    observe ?fault ?make_nf ~config ~plan ~bindings ~rate ~packets ()
   in
   check Alcotest.int "baseline admits everything" 0 rb.ring_drops;
   check Alcotest.int "sharded admits everything" 0 rr.ring_drops;
@@ -235,7 +239,7 @@ let differential_tests =
     Alcotest.test_case "four-way sharding preserves trace and merged digests" `Quick
       (fun () ->
         let _, report =
-          equivalence ~text:we_text ~bindings:we_bindings ~replicas:4 ()
+          equivalence ~text:we_text ~bindings:we_bindings ~config:(replicated 4) ()
         in
         let mon = find_rr report "mon" in
         check Alcotest.int "mon deployed 4 replicas" 4 mon.rr_replicas;
@@ -247,7 +251,7 @@ let differential_tests =
     Alcotest.test_case "a mixed chain replicates only the eligible NFs" `Quick
       (fun () ->
         let _, report =
-          equivalence ~text:ns_text ~bindings:ns_bindings ~replicas:3 ()
+          equivalence ~text:ns_text ~bindings:ns_bindings ~config:(replicated 3) ()
         in
         check Alcotest.int "vpn stays single" 1 (find_rr report "vpn").rr_replicas;
         List.iter
@@ -258,7 +262,7 @@ let differential_tests =
           [ "mon"; "fw"; "lb" ]);
     Alcotest.test_case "sequential-strategy NFs are never replicated" `Quick (fun () ->
         let _, report =
-          equivalence ~text:seq_text ~bindings:seq_bindings ~replicas:4 ()
+          equivalence ~text:seq_text ~bindings:seq_bindings ~config:(replicated 4) ()
         in
         List.iter
           (fun (rr : Sys.replica_report) ->
@@ -276,7 +280,7 @@ let differential_tests =
            though its own profile clears it. *)
         let text = "NF(lb, LoadBalancer)\nNF(cache, Caching)\nChain(lb, cache)" in
         let bindings = [ ("lb", "LoadBalancer"); ("cache", "Caching") ] in
-        let _, report = equivalence ~text ~bindings ~replicas:4 () in
+        let _, report = equivalence ~text ~bindings ~config:(replicated 4) () in
         let lb = find_rr report "lb" in
         check strategy "lb profile still clears it" Replication.Shared_nothing
           lb.rr_strategy;
@@ -288,7 +292,7 @@ let differential_tests =
         in
         let text = "NF(nat, NAT)\nNF(mon, Monitor)\nChain(nat, mon)" in
         let bindings = [ ("nat", "NAT"); ("mon", "Monitor") ] in
-        let _, report = equivalence ~make_nf ~text ~bindings ~replicas:3 () in
+        let _, report = equivalence ~make_nf ~text ~bindings ~config:(replicated 3) () in
         let nat = find_rr report "nat" in
         check strategy "nat strategy" Replication.Shared_nothing nat.rr_strategy;
         check Alcotest.int "nat deployed 3 replicas" 3 nat.rr_replicas);
@@ -297,7 +301,7 @@ let differential_tests =
         let plan = plan_of we_text in
         let a, _, _ = observe ~plan ~bindings:we_bindings ~rate:0.5 ~packets:1500 () in
         let b, _, _ =
-          observe ~replicas:1 ~plan ~bindings:we_bindings ~rate:0.5 ~packets:1500 ()
+          observe ~config:(replicated 1) ~plan ~bindings:we_bindings ~rate:0.5 ~packets:1500 ()
         in
         check Alcotest.bool "identical observation" true (a = b));
     Alcotest.test_case "interpretive path refuses the replicas knob" `Quick (fun () ->
@@ -309,7 +313,7 @@ let differential_tests =
             ignore
               (Nfp_sim.Harness.run
                  ~make:(fun engine ~output ->
-                   Sys.make ~path:`Interpretive ~replicas:4 ~plan ~nfs:lookup engine
+                   Sys.make ~path:`Interpretive ~config:(replicated 4) ~plan ~nfs:lookup engine
                      ~output)
                  ~gen:(traffic ())
                  ~arrivals:(Nfp_sim.Harness.Uniform 0.5) ~packets:10 ())));
@@ -330,7 +334,7 @@ let fault_tests =
             (Nfp_sim.Fault.plan [ Nfp_sim.Fault.crash ~at_ns:500_000.0 "mid1:mon@2" ])
         in
         let rr, _ =
-          equivalence ~fault ~text:we_text ~bindings:we_bindings ~replicas:4 ()
+          equivalence ~fault ~text:we_text ~bindings:we_bindings ~config:(replicated 4) ()
         in
         check Alcotest.int "crash took effect" 1 rr.health.crashes;
         check Alcotest.bool "replay happened" true (rr.health.replayed > 0);
@@ -345,7 +349,7 @@ let fault_tests =
                ])
         in
         let rr, _ =
-          equivalence ~fault ~text:we_text ~bindings:we_bindings ~replicas:2 ()
+          equivalence ~fault ~text:we_text ~bindings:we_bindings ~config:(replicated 2) ()
         in
         check Alcotest.int "both crashes took effect" 2 rr.health.crashes);
     Alcotest.test_case "ledger invariant holds under a storm across replicas" `Quick
@@ -364,7 +368,7 @@ let fault_tests =
         in
         let plan = plan_of we_text in
         let _, r, report =
-          observe ~fault:(lossless_fault storm) ~replicas:4 ~plan
+          observe ~fault:(lossless_fault storm) ~config:(replicated 4) ~plan
             ~bindings:we_bindings ~rate:1.0 ~packets:3000 ()
         in
         check Alcotest.bool "storm produced crashes" true (r.health.crashes > 0);
@@ -463,7 +467,7 @@ let property_tests =
                    let sharded, rr, _ =
                      observe
                        ~fault:(lossless_fault crash_plan)
-                       ~replicas ~plan ~bindings ~rate:1.0 ~packets:1200 ()
+                       ~config:(replicated replicas) ~plan ~bindings ~rate:1.0 ~packets:1200 ()
                    in
                    rb.ring_drops = 0 && rr.ring_drops = 0
                    && rr.health.flushed = 0
