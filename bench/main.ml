@@ -1531,7 +1531,7 @@ let run_faults () =
                  Nfp_algo.Stats.percentile r.latency 99.0 /. 1000.0,
                  h.crashes,
                  h.detections,
-                 h.merge_timeouts,
+                 h.drops.merge_timed_out,
                  r.offered - r.completed ))
              mtbfs)
          policies)

@@ -125,13 +125,13 @@ let in_flight ch = Hashtbl.length ch.unacked
 
 let now ch = Nfp_sim.Engine.now ch.engine
 
-(* Run a refused delivery to completion off-core, at the same
-   stall-poll cadence as a server's flush loop: used where the channel
+let rec drive engine thunk =
+  if not (thunk ()) then Nfp_sim.Engine.schedule engine ~delay:150.0 (fun () -> drive engine thunk)
+
+(* Run a refused delivery to completion off-core: used where the channel
    has already accepted the packet (delayed raw transits, Down-flush)
    and the only consumer left is the destination ring. *)
-let rec drive_deliver ch x =
-  if not (ch.deliver x) then
-    Nfp_sim.Engine.schedule ch.engine ~delay:150.0 (fun () -> drive_deliver ch x)
+let drive_deliver ch x = drive ch.engine (fun () -> ch.deliver x)
 
 (* ------------------------------------------------------------------ *)
 (* Receiver: dedup, bounded reorder buffer, in-order release           *)
@@ -439,3 +439,6 @@ let rec send ch x =
         arm_probe ch;
         true
       end
+
+let offer channel srv job =
+  match channel with Some ch -> send ch job | None -> Nfp_sim.Server.offer srv job

@@ -76,6 +76,14 @@ val send : 'a t -> 'a -> bool
     Everything else (loss, duplication, reordering, retransmission,
     reroute) is absorbed by the channel and reported in {!stats}. *)
 
+val offer : 'a t option -> 'a Nfp_sim.Server.t -> 'a -> bool
+(** One send into a core's port: across its link channel when it has
+    one, else straight into its ring. *)
+
+val drive : Nfp_sim.Engine.t -> (unit -> bool) -> unit
+(** Run a retryable send to completion off-core, polling every 150 ns
+    (a core's stall-poll cadence) until it succeeds. *)
+
 val is_down : 'a t -> bool
 (** Whether the link is currently declared Down — the elastic
     controller consults this to stop migrating toward partitioned

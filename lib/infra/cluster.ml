@@ -2,16 +2,8 @@ let make ?config ?fault ?overload ?elastic ?links ?(link_latency_ns = 2000.0)
     ~segments
     engine ~output =
   if segments = [] then invalid_arg "Cluster.make: no segments";
-  let ring_drop_fns = ref [] and nf_drop_fns = ref [] and unmatched_fns = ref [] in
-  let shed_fns = ref [] and classifier_fns = ref [] and health_fns = ref [] in
-  let record (system : Nfp_sim.Harness.system) =
-    ring_drop_fns := system.ring_drops :: !ring_drop_fns;
-    nf_drop_fns := system.nf_drops :: !nf_drop_fns;
-    unmatched_fns := system.unmatched :: !unmatched_fns;
-    shed_fns := system.shed :: !shed_fns;
-    classifier_fns := system.classifier :: !classifier_fns;
-    health_fns := system.health :: !health_fns
-  in
+  let built = ref [] in
+  let record (system : Nfp_sim.Harness.system) = built := system :: !built in
   (* Wire back to front: each server's output crosses the link into the
      next server's NIC. [fault] applies to every segment; plans match
      cores by name, so a pattern like "mid1:*" perturbs the matching
@@ -40,29 +32,24 @@ let make ?config ?fault ?overload ?elastic ?links ?(link_latency_ns = 2000.0)
         system
   in
   let first = build segments in
-  let sum fns () = List.fold_left (fun acc f -> acc + f ()) 0 !fns in
   {
     Nfp_sim.Harness.inject = first.Nfp_sim.Harness.inject;
-    ring_drops = sum ring_drop_fns;
-    nf_drops = sum nf_drop_fns;
-    unmatched = sum unmatched_fns;
-    shed = sum shed_fns;
     classifier =
       (fun () ->
         List.fold_left
-          (fun (acc : Nfp_sim.Harness.classifier_counters) f ->
-            let (c : Nfp_sim.Harness.classifier_counters) = f () in
+          (fun (acc : Nfp_sim.Harness.classifier_counters) (s : Nfp_sim.Harness.system) ->
+            let c = s.classifier () in
             {
               Nfp_sim.Harness.hits = acc.hits + c.hits;
               misses = acc.misses + c.misses;
               evictions = acc.evictions + c.evictions;
             })
-          Nfp_sim.Harness.no_classifier_counters !classifier_fns);
+          Nfp_sim.Harness.no_classifier_counters !built);
     health =
       (fun () ->
         List.fold_left
-          (fun acc f -> Nfp_sim.Harness.add_health acc (f ()))
-          Nfp_sim.Harness.no_health !health_fns);
+          (fun acc (s : Nfp_sim.Harness.system) -> Nfp_sim.Harness.add_health acc (s.health ()))
+          Nfp_sim.Harness.no_health !built);
   }
 
 let of_partition ?config ?fault ?overload ?elastic ?links ?link_latency_ns

@@ -5,297 +5,7 @@ let log_src = Logs.Src.create "nfp.system" ~doc:"NFP dataplane"
 
 module Log = (val Logs.src_log log_src)
 
-type config = {
-  cost : Nfp_sim.Cost.t;
-  ring_capacity : int;
-  mergers : int;
-  jitter : float;
-  seed : int64;
-  batch_size : int;  (* poll-loop breath size on every core; 1 = per-packet legacy *)
-  replicas : int;
-      (* target replica count for NFs whose state-access profile makes
-         them safe to shard (Replication.eligible); ineligible NFs
-         always keep a single instance. 1 = bit-identical legacy *)
-}
-
-let default_config =
-  {
-    cost = Nfp_sim.Cost.default;
-    ring_capacity = 128;
-    mergers = 1;
-    jitter = 0.05;
-    seed = 7L;
-    batch_size = Nfp_sim.Cost.default.batch;
-    replicas = 1;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Overload control plane: ring watermarks, priority-aware admission,  *)
-(* pressure-degrade modes.                                             *)
-(* ------------------------------------------------------------------ *)
-
-(* Opt-in: a deployment built without an overload config is bit-for-bit
-   the pre-overload system (no watermarks armed, admission controller
-   absent, every NF at full fidelity). With one, every compiled-path
-   ring arms the high/low watermark latch, the classifier front end
-   sheds low-priority chains first when pressure persists, and NFs
-   that declare a [Nf.degrade] mode coarsen while their own ring sits
-   above the watermark. *)
-type overload_config = {
-  high_watermark : int;
-      (* ring occupancy at which a core raises pressure; must satisfy
-         0 <= low < high <= ring_capacity *)
-  low_watermark : int;  (* occupancy at which pressure releases (hysteresis) *)
-  shed_trickle : int;
-      (* anti-starvation: of every [shed_trickle] consecutive packets
-         of a class the controller is shedding, one is admitted anyway;
-         0 sheds the class outright *)
-  degrade_enabled : bool;
-      (* let NFs with a declared degrade mode coarsen under pressure *)
-  pressure_poll_ns : float;
-      (* minimum interval between shed-level re-evaluations at ingress;
-         the level moves one step per poll (escalate under pressure,
-         relax when it clears), so the ladder cannot flap faster than
-         this cadence *)
-}
-
-(* 3/4 and 3/8 of the default ring capacity; one shed-level step every
-   2 us; a 1-in-16 trickle for shed classes. *)
-let default_overload_config =
-  {
-    high_watermark = 96;
-    low_watermark = 48;
-    shed_trickle = 16;
-    degrade_enabled = true;
-    pressure_poll_ns = 2_000.0;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Elastic scale-out: runtime replica activation with crash-safe live  *)
-(* NF state migration.                                                 *)
-(* ------------------------------------------------------------------ *)
-
-(* Opt-in, like overload: a deployment built without an elastic config
-   is bit-for-bit the pre-elastic system, and one built with a
-   never-triggering config (thresholds no run reaches) must produce the
-   same packet trace — standby replicas draw jitter from an independent
-   PRNG stream and the steering map starts as the identity sharding, so
-   the machinery is invisible until the controller acts. *)
-type elastic_config = {
-  min_replicas : int;  (* scale-in floor (also the initial active count) *)
-  max_replicas : int;
-      (* scale-out ceiling; replicas beyond the static count are built
-         at deployment as standby cores and activated at runtime *)
-  buckets : int;
-      (* steering-map granularity: flows hash into [buckets] RSS
-         buckets, each owned by one replica; migrations re-home whole
-         buckets. Must be >= max_replicas. *)
-  control_interval_ns : float;  (* controller tick period *)
-  scale_out_occupancy : float;
-      (* scale out when any active replica's queue occupancy (fraction
-         of ring capacity) reaches this *)
-  scale_in_occupancy : float;
-      (* scale in when every active replica sits at or below this;
-         must be < scale_out_occupancy (hysteresis) *)
-  migration_batch : int;  (* max buckets re-homed per migration *)
-  transfer_ns : float;
-      (* modeled state-transfer window: the source stays frozen this
-         long between freeze and commit *)
-  migration_deadline_ns : float;
-      (* a migration that cannot commit by freeze-time + this deadline
-         (destination full, party down) aborts and rolls back to the
-         old steering map *)
-  commit_retry_ns : float;
-      (* retry period of a commit blocked on destination ring space *)
-  cooldown_ns : float;  (* minimum time between scale decisions per slot *)
-}
-
-let default_elastic_config =
-  {
-    min_replicas = 1;
-    max_replicas = 4;
-    buckets = 64;
-    control_interval_ns = 20_000.0;
-    scale_out_occupancy = 0.5;
-    scale_in_occupancy = 0.05;
-    migration_batch = 16;
-    transfer_ns = 30_000.0;
-    migration_deadline_ns = 200_000.0;
-    commit_retry_ns = 2_000.0;
-    cooldown_ns = 50_000.0;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Lossy fabric: link fault domain + opt-in reliable channels.         *)
-(* ------------------------------------------------------------------ *)
-
-(* Opt-in, like fault/overload/elastic: a deployment built without a
-   links config is bit-for-bit the pre-links system — no channel is
-   constructed, every send site keeps its direct [Server.offer] call
-   path. With one, every inter-core edge (classifier->NF, NF->NF,
-   branch->merger, merger->delivery, migration transfers) crosses a
-   [Channel] named after its destination port ("link:mid1:NAT",
-   "link:merger#0", "link:delivery", "link:migrate:mid1:NAT@2"), so a
-   link plan can perturb any edge family by name or prefix pattern.
-   [reliable = false] models the raw fabric (drops lose packets into
-   the ledger's in-flight residual, duplicates deliver twice); [true]
-   arms the ARQ layer that makes delivery lossless over the lossy
-   fabric — the differential suite holds a lossy reliable run to the
-   same delivery multisets and state digests as the lossless run. *)
-type links_config = {
-  link_plan : Nfp_sim.Fault.link_plan;
-  reliable : bool;  (* arm the seq/ack/retransmit channels *)
-  link_window : int;
-      (* sender window per link: max unacked sends before the channel
-         refuses (backpressure, upstream cursor-retry) *)
-  ack_interval_ns : float;
-      (* cumulative-ack cadence — the granularity at which acks ride
-         breath completions *)
-  rto_ns : float;  (* initial head-of-line retransmit timeout *)
-  rto_backoff : float;  (* RTO multiplier per consecutive firing without progress *)
-  rto_max_ns : float;  (* RTO ceiling *)
-  retransmit_budget : int;
-      (* per-packet retransmissions before the link is declared Down *)
-  reorder_window : int;
-      (* receiver reorder-buffer span; arrivals beyond it are refused
-         at the port and recovered by retransmission *)
-  probe_interval_ns : float;
-      (* health-probe cadence while data is outstanding; 0 disables
-         probing (budget exhaustion still detects partitions) *)
-  probe_timeout_k : int;  (* consecutive probe timeouts declaring Down *)
-}
-
-let default_links_config =
-  {
-    link_plan = Nfp_sim.Fault.no_links;
-    reliable = true;
-    link_window = 256;
-    ack_interval_ns = 1_000.0;
-    rto_ns = 25_000.0;
-    rto_backoff = 2.0;
-    rto_max_ns = 400_000.0;
-    retransmit_budget = 16;
-    reorder_window = 256;
-    probe_interval_ns = 5_000.0;
-    probe_timeout_k = 3;
-  }
-
-(* One in-flight bucket migration: two-phase. Phase 1 (freeze) pauses
-   the source replica and schedules the commit [transfer_ns] later;
-   phase 2 (commit) either aborts — any party down, or no destination
-   ring space by the deadline — rolling back to the old map with the
-   source unfrozen and nothing observable changed, or atomically (one
-   simulation event): carves the moving flows' state out of the source
-   NF, folds it into the destination, re-homes the frozen in-flight
-   packets, flips the map buckets and bumps the epoch. *)
-type migration = {
-  mg_src : int;
-  mg_dst : int;
-  mg_buckets : int list;
-  mg_deadline : float;
-}
-
-(* Steering state of one scalable NF slot. [st_map.(b)] is the replica
-   index owning bucket [b]; the send sites read it per attempt, so a
-   single-event flip can never race an in-flight packet. *)
-type steer = {
-  mutable st_map : int array;
-  mutable st_epoch : int;  (* bumped at every committed flip *)
-  mutable st_active : int;  (* replicas 0 .. active-1 receive traffic *)
-  mutable st_draining : int;  (* replica being scaled in; -1 = none *)
-  mutable st_last_op : float;  (* cooldown clock *)
-  mutable st_backoff : float;
-  (* no migration may start before this time: set after an abort so the
-     just-unfrozen source drains its backlog before the controller can
-     freeze it again (otherwise a hopeless migration — e.g. a moved set
-     larger than the destination ring — restarts every tick and the
-     source starves forever) *)
-  mutable st_mig : migration option;  (* at most one in flight per slot *)
-}
-
-(* ------------------------------------------------------------------ *)
-(* Fault tolerance: injection plan, watchdog, recovery policies        *)
-(* ------------------------------------------------------------------ *)
-
-(* What the watchdog does with an NF core that stopped making progress:
-   - [Restart]: the core comes back [restart_ns] later; whatever sat in
-     its ring is dropped (and accounted in [health.flushed]).
-   - [Bypass]: the core is removed from the graph — packets headed to it
-     skip straight through its action program unprocessed, so mergers
-     are never again left waiting on its branch. For read-only or
-     optional NFs (monitors, taps) this loses nothing but telemetry.
-   - [Degrade]: the core's whole service graph falls back to the
-     sequential order of the same plan ([Tables.serial_order]) on a twin
-     chain of fresh cores until the failed core has restarted; parallel
-     wedging is impossible while degraded.
-   Infrastructure cores (classifier, mergers, merger agent, twin-chain
-   cores) always use Restart. *)
-type recovery = Restart | Bypass | Degrade
-
-type fault_config = {
-  plan : Nfp_sim.Fault.plan;
-  watchdog_interval_ns : float;  (* heartbeat sampling period *)
-  watchdog_deadline_ns : float;
-      (* a core with queued work but no progress (neither a processed
-         packet nor a backpressure retry) for this long is declared
-         failed; backpressure alone never trips it *)
-  merge_timeout_ns : float;
-      (* mergers force-complete an accumulation this old with the
-         versions that did arrive; 0.0 disables the timeout *)
-  restart_ns : float;  (* downtime of a Restart / Degrade recovery *)
-  recovery_of : string -> recovery;  (* policy per NF instance name *)
-  checkpoint_interval_ns : float;
-      (* period of the per-NF state snapshots that arm lossless
-         recovery; 0.0 disables checkpointing, reverting Restart to the
-         lossy flush-the-backlog semantics *)
-  log_capacity : int;
-      (* bound of each core's input log (packets since its last
-         checkpoint); a full log forces a checkpoint early rather than
-         ever silently losing an entry *)
-  breaker_threshold : int;
-      (* circuit breaker: after this many consecutive watchdog
-         detections of the same NF core without observed progress, stop
-         restarting it and fall to [breaker_fallback]; 0 disables the
-         breaker (and the restart backoff), keeping the pre-breaker
-         recover-forever behavior *)
-  backoff_factor : float;
-      (* restart delay multiplier per consecutive detection: the n-th
-         consecutive restart waits restart_ns * factor^(n-1), capped at
-         [backoff_max_ns] — a restart-looping core backs off instead of
-         thrashing *)
-  backoff_max_ns : float;  (* ceiling of the backed-off restart delay *)
-  breaker_fallback : recovery;
-      (* what a tripped breaker does with the core: [Bypass] removes it
-         from the graph; [Degrade] pins its whole graph to the
-         sequential twin and removes the core. [Restart] is treated as
-         [Bypass] (the breaker exists to stop restarting). Infrastructure
-         cores never trip — they have no bypass semantics — and only
-         back off. *)
-  dedup_capacity : int;
-      (* bound of each (pid, version) dedup table (the delivery filter
-         and every merger's completed-merge memory). Tables prune
-         generationally: entries survive at least [dedup_capacity / 2]
-         further insertions, far longer than any replay or
-         retransmission can lag, so the exactly-once guarantee holds
-         while memory stays pinned however long a lossy run goes. *)
-}
-
-let default_fault_config =
-  {
-    plan = Nfp_sim.Fault.empty;
-    watchdog_interval_ns = 30_000.0;
-    watchdog_deadline_ns = 120_000.0;
-    merge_timeout_ns = 250_000.0;
-    restart_ns = Nfp_sim.Cost.default.restart_ns;
-    recovery_of = (fun _ -> Restart);
-    checkpoint_interval_ns = 100_000.0;
-    log_capacity = 4096;
-    breaker_threshold = 0;
-    backoff_factor = 2.0;
-    backoff_max_ns = 2_000_000.0;
-    breaker_fallback = Bypass;
-    dedup_capacity = 65_536;
-  }
+include Config
 
 (* Bounded (pid, version) memory with generational pruning: two
    hash tables, [g_cur] receiving inserts and [g_prev] holding the
@@ -331,22 +41,6 @@ module Dedup = struct
 
   let length t = Hashtbl.length t.g_cur + Hashtbl.length t.g_prev
 end
-
-(* The watchdog's handle on a compiled-path core, whatever its job
-   type: the server, plus the recovery hooks only the core's builder
-   knows. [drain] reroutes an NF core's backlog around it (Bypass);
-   [checkpoint] and [replay] arm lossless restart for NF cores with
-   snapshot support, returning the replay's added downtime.
-   Infrastructure cores carry no-op hooks. *)
-type probe =
-  | Probe : {
-      server : 'a Nfp_sim.Server.t;
-      nf : (int * string) option;  (* mid, NF instance name; None = infrastructure *)
-      drain : 'a Nfp_sim.Server.t -> int;
-      checkpoint : unit -> unit;
-      replay : unit -> float;
-    }
-      -> probe
 
 let core_count config (plan : Tables.plan) =
   1
@@ -492,63 +186,14 @@ let branch_index (spec : Tables.merge_spec) (deliverer : Tables.deliverer) =
 
 let empty_prog = { p_copies = [||]; p_sends = [||]; p_static = 0; p_full_srcs = [||] }
 
-(* RSS bucket of a 5-tuple among [n]. The hash runs on its own seeded
-   stream ([Hashing.rss2_int]), never correlated with the microflow
-   cache's bucket hash. Steering hashes a packet's fields and the
-   migration carve a [Flow.t]'s: the same values, so every packet of a
-   flow lands in the bucket its state moves with. *)
-let rss_bucket ~sip ~sport ~proto ~dip ~dport n =
-  Nfp_algo.Hashing.rss2_int
-    (Nfp_algo.Hashing.pack_a_int sip sport proto)
-    (Nfp_algo.Hashing.pack_b_int dip dport)
-  mod n
+(* The admission controller's shed ladder moves at most one class per
+   [pressure_poll_ns], and a class being shed still admits one packet in
+   every [shed_trickle]. *)
+let pressure_poll_ns = 2_000.0
+let shed_trickle = 16
 
 let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_config)
     ?fault ?overload ?elastic ?links ?stats ?replication ~graphs engine ~output =
-  if graphs = [] then invalid_arg "System.make_multi: no service graphs";
-  (match (fault, path) with
-  | Some _, `Interpretive ->
-      invalid_arg "System.make_multi: fault injection requires the `Compiled path"
-  | _ -> ());
-  (match (overload, path) with
-  | Some _, `Interpretive ->
-      invalid_arg "System.make_multi: overload control requires the `Compiled path"
-  | _ -> ());
-  (match overload with
-  | Some (oc : overload_config) ->
-      if
-        not
-          (0 <= oc.low_watermark
-          && oc.low_watermark < oc.high_watermark
-          && oc.high_watermark <= config.ring_capacity)
-      then
-        invalid_arg
-          "System.make_multi: overload watermarks must satisfy 0 <= low < high <= \
-           ring_capacity";
-      if oc.pressure_poll_ns <= 0.0 then
-        invalid_arg "System.make_multi: overload pressure_poll_ns must be positive"
-  | None -> ());
-  (match elastic with
-  | Some (ec : elastic_config) ->
-      if path = `Interpretive then
-        invalid_arg "System.make_multi: elastic scale-out requires the `Compiled path";
-      if ec.min_replicas < 1 || ec.max_replicas < ec.min_replicas then
-        invalid_arg
-          "System.make_multi: elastic replica bounds must satisfy 1 <= min <= max";
-      if ec.buckets < ec.max_replicas then
-        invalid_arg "System.make_multi: elastic buckets must be >= max_replicas";
-      if
-        ec.control_interval_ns <= 0.0 || ec.transfer_ns < 0.0
-        || ec.migration_deadline_ns <= 0.0
-        || ec.commit_retry_ns <= 0.0 || ec.cooldown_ns < 0.0
-      then invalid_arg "System.make_multi: elastic periods must be positive";
-      if not (ec.scale_in_occupancy < ec.scale_out_occupancy) then
-        invalid_arg
-          "System.make_multi: elastic occupancy thresholds must satisfy in < out";
-      if ec.migration_batch < 1 then
-        invalid_arg "System.make_multi: elastic migration_batch must be >= 1"
-  | None -> ());
-  let elastic_on = elastic <> None in
   (* A links config with an empty plan and no reliability layer is
      normalized away entirely — nothing to perturb, nothing to arm, so
      the send sites keep their direct call path (bit-identity). *)
@@ -559,42 +204,61 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
         None
     | other -> other
   in
-  (match links with
-  | Some (lc : links_config) ->
-      if path = `Interpretive then
-        invalid_arg "System.make_multi: link channels require the `Compiled path";
-      if lc.link_window < 1 then
-        invalid_arg "System.make_multi: links link_window must be >= 1";
-      if lc.reorder_window < 1 then
-        invalid_arg "System.make_multi: links reorder_window must be >= 1";
-      if lc.retransmit_budget < 1 then
-        invalid_arg "System.make_multi: links retransmit_budget must be >= 1";
-      if
-        lc.ack_interval_ns <= 0.0 || lc.rto_ns <= 0.0 || lc.rto_max_ns <= 0.0
-        || lc.probe_interval_ns < 0.0
-      then invalid_arg "System.make_multi: links periods must be positive";
-      if lc.rto_backoff < 1.0 then
-        invalid_arg "System.make_multi: links rto_backoff must be >= 1.0";
-      if lc.probe_timeout_k < 1 then
-        invalid_arg "System.make_multi: links probe_timeout_k must be >= 1"
-  | None -> ());
-  let links_on = links <> None in
+  (* Every misconfiguration at once: one Invalid_argument naming each
+     violated rule, joined with "; ". *)
+  let interpretive = path = `Interpretive in
+  let any o violated = Option.fold ~none:false ~some:violated o in
+  (match
+     List.filter_map
+       (fun (violated, msg) -> if violated then Some msg else None)
+       [
+         (graphs = [], "no service graphs");
+         (interpretive && Option.is_some fault, "fault injection requires the `Compiled path");
+         ( any fault (fun f -> f.watchdog_interval_ns <= 0.0),
+           "fault watchdog_interval_ns must be positive" );
+         (any fault (fun f -> f.restart_ns < 0.0), "fault restart_ns must be >= 0");
+         (interpretive && Option.is_some overload, "overload control requires the `Compiled path");
+         ( any overload (fun o ->
+               not
+                 (0 <= o.low_watermark
+                 && o.low_watermark < o.high_watermark
+                 && o.high_watermark <= config.ring_capacity)),
+           "overload watermarks must satisfy 0 <= low < high <= ring_capacity" );
+         (interpretive && Option.is_some elastic, "elastic scale-out requires the `Compiled path");
+         ( any elastic (fun e -> e.min_replicas < 1 || e.max_replicas < e.min_replicas),
+           "elastic replica bounds must satisfy 1 <= min <= max" );
+         (any elastic (fun e -> e.buckets < e.max_replicas), "elastic buckets must be >= max_replicas");
+         ( any elastic (fun e ->
+               e.control_interval_ns <= 0.0 || e.transfer_ns < 0.0
+               || e.migration_deadline_ns <= 0.0
+               || e.commit_retry_ns <= 0.0 || e.cooldown_ns < 0.0),
+           "elastic periods must be positive" );
+         ( any elastic (fun e -> not (e.scale_in_occupancy < e.scale_out_occupancy)),
+           "elastic occupancy thresholds must satisfy in < out" );
+         (any elastic (fun e -> e.migration_batch < 1), "elastic migration_batch must be >= 1");
+         (interpretive && Option.is_some links, "link channels require the `Compiled path");
+         (any links (fun l -> l.link_window < 1), "links link_window must be >= 1");
+         (any links (fun l -> l.reorder_window < 1), "links reorder_window must be >= 1");
+         (any links (fun l -> l.retransmit_budget < 1), "links retransmit_budget must be >= 1");
+         ( any links (fun l ->
+               l.ack_interval_ns <= 0.0 || l.rto_ns <= 0.0 || l.rto_max_ns <= 0.0
+               || l.probe_interval_ns < 0.0),
+           "links periods must be positive" );
+         (any links (fun l -> l.rto_backoff < 1.0), "links rto_backoff must be >= 1.0");
+         (any links (fun l -> l.probe_timeout_k < 1), "links probe_timeout_k must be >= 1");
+         (interpretive && config.replicas > 1, "replicas require the `Compiled path");
+       ]
+   with
+  | [] -> ()
+  | msgs -> invalid_arg ("System.make_multi: " ^ String.concat "; " msgs));
   (* Watermarks for every compiled-path ring; [None] (no overload
      config) leaves each ring's latch disarmed — the bit-identity
      guarantee. *)
-  let wm =
-    match overload with
-    | Some (oc : overload_config) -> Some (oc.high_watermark, oc.low_watermark)
-    | None -> None
-  in
-  let degrade_on =
-    match overload with Some oc -> oc.degrade_enabled | None -> false
-  in
+  let wm = Option.map (fun o -> (o.high_watermark, o.low_watermark)) overload in
+  let degrade_on = any overload (fun o -> o.degrade_enabled) in
   (* Replica target for strategy-eligible NFs; 1 (the default) keeps
      the deployment bit-identical to the pre-replication system. *)
   let replicas_knob = max 1 config.replicas in
-  if replicas_knob > 1 && path = `Interpretive then
-    invalid_arg "System.make_multi: replicas require the `Compiled path";
   let cost = config.cost in
   (* Breath size for every core's poll loop; 1 restores per-packet
      (legacy) execution exactly. Both execution paths get the same
@@ -611,39 +275,18 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
     | Some (fc : fault_config) -> Nfp_sim.Fault.for_core fc.plan name
   in
   let merge_timeout_ns = match fault with Some fc -> fc.merge_timeout_ns | None -> 0.0 in
-  (* Everything the recovery subsystem adds — input logging, snapshot
-     charges, dedup filters — is gated on [armed]: a fault config with
-     an empty plan must leave the packet trace byte-identical to a
-     system built without one (the differential test enforces this). *)
-  let armed =
-    match fault with
-    | Some (fc : fault_config) -> not (Nfp_sim.Fault.is_empty fc.plan)
-    | None -> false
-  in
-  let lossless =
-    armed
-    && match fault with Some fc -> fc.checkpoint_interval_ns > 0.0 | None -> false
-  in
-  (* The (pid, version) dedup filters also arm under elastic: a crash
-     landing mid-migration can re-home a packet whose original emission
-     is still in flight, and exactly-once delivery must hold. Pure
-     bookkeeping — on a duplicate-free run the filters never fire, so
-     the trace is untouched. *)
-  (* ... and under links: a retransmitted branch racing its own
-     timeout-completed merge, or a fabric duplicate on a raw channel,
-     must be dropped at the merge/delivery filters just like a replayed
-     emission. *)
-  let dedup_on = armed || elastic_on || links_on in
-  let log_capacity =
-    match fault with Some fc -> max 1 fc.log_capacity | None -> 1
-  in
-  let checkpoints = ref 0
-  and forced_checkpoints = ref 0
-  and replayed = ref 0
-  and deduped = ref 0
-  and salvaged = ref 0 in
   (* MIDs are 1-based positions in the classification table. *)
   let table = Array.of_list graphs in
+  let recovery = Recovery.create fault engine ~cost ~graphs:(Array.length table) in
+  (* The (pid, version) dedup filters arm with a fault plan (a replay
+     can re-emit), under elastic (a crash landing mid-migration can
+     re-home a packet whose original emission is still in flight), and
+     under links (a retransmitted branch racing its own timeout-completed
+     merge, or a fabric duplicate on a raw channel). Pure bookkeeping —
+     on a duplicate-free run the filters never fire, so the trace is
+     untouched. *)
+  let dedup_on = Recovery.armed recovery || elastic <> None || links <> None in
+  let deduped = ref 0 in
   let plan_of_mid mid : Tables.plan =
     let _, p, _ = table.(mid - 1) in
     p
@@ -675,8 +318,8 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
   in
   let ring_drops = ref 0 and nf_drops = ref 0 and unmatched = ref 0 in
   (* Overload counters, shared by the admission controller (built after
-     the cores, next to the watchdog) and the per-NF degrade switches
-     (inside the replica closures below). *)
+     the cores) and the per-NF degrade switches (inside the replica
+     closures below). *)
   let shed_total = ref 0
   and degraded_packets = ref 0
   and degrade_switches = ref 0 in
@@ -783,35 +426,17 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
          (Int64.of_int (max 1 instances)))
   in
   (* Per-NF replica layout, filled in by whichever execution path
-     builds the cores: (mid, entry, replica NF instances, per-replica
-     processed counters). The [?replication] report reads it. *)
+     builds the cores: (mid, entry, replica NF instances, replica cores).
+     The [?replication] report reads it. *)
   let replica_layout :
-      (int * Tables.nf_entry * Nfp_nf.Nf.t array * (unit -> int) array) list ref =
+      (int * Tables.nf_entry * Nfp_nf.Nf.t array * Context.t Nfp_sim.Server.t array) list ref =
     ref []
   in
   let bypassed_packets = ref 0 and merge_timeouts = ref 0 in
-  (* Elastic counters and hooks, bridged out of the compiled arm the
-     same way the probes are: the controller (built with the cores)
-     writes them, [health] and [inject] read them. *)
-  let scale_outs = ref 0
-  and scale_ins = ref 0
-  and migrations = ref 0
-  and migration_aborts = ref 0
-  and migrated_packets = ref 0 in
-  let migrating_gauge = ref (fun () -> 0) in
-  let elastic_kick = ref (fun () -> ()) in
-  (* The controller is itself a crashable party: a fault plan may
-     target the pseudo-core "elastic" — while it is down, no scale
-     decision runs and any commit falling due aborts. *)
-  let controller_down = ref false in
-  let core_state_override : (string -> string option) ref = ref (fun _ -> None) in
   (* Run a retryable emission to completion off-core: used where no
      server owns the emission (bypass reroutes, timed-out merges), with
      the same stall-poll cadence as a core's flush loop. *)
-  let rec drive thunk =
-    if not (thunk ()) then
-      Nfp_sim.Engine.schedule engine ~delay:150.0 (fun () -> drive thunk)
-  in
+  let drive = Channel.drive engine in
   (* A channel in front of [srv]'s port: releases offer into its ring,
      and a Down link detours into it off-core. *)
   let channel_to name srv =
@@ -819,40 +444,28 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
       ~deliver:(fun job -> Nfp_sim.Server.offer srv job)
       ~reroute:(fun job -> drive (fun () -> Nfp_sim.Server.offer srv job))
   in
-  (* One send into a core's port: across its link channel if it has
-     one, else straight into its ring. *)
-  let send_via channel srv job =
-    match channel with
-    | Some ch -> Channel.send ch job
-    | None -> Nfp_sim.Server.offer srv job
-  in
   (* Every compiled-path core is built here and registered with the
      watchdog. Registration order is creation order: it fixes the
      watchdog's scan order and the [health.cores] listing. *)
-  let probes : probe list ref = ref [] in
   let core :
       'a.
-      ?nf:int * string ->
-      ?drain:('a Nfp_sim.Server.t -> int) ->
-      ?checkpoint:(unit -> unit) ->
-      ?replay:(unit -> float) ->
+      ?role:'a Recovery.role ->
       name:string ->
       jitter:float * Nfp_algo.Prng.t ->
       service_ns:('a -> float) ->
       execute:('a -> unit -> bool) ->
       unit ->
       'a Nfp_sim.Server.t =
-   fun ?nf ?(drain = fun _ -> 0) ?(checkpoint = ignore) ?(replay = fun () -> 0.0)
-       ~name ~jitter ~service_ns ~execute () ->
+   fun ?(role = Recovery.Infra) ~name ~jitter ~service_ns ~execute () ->
     let server =
       Nfp_sim.Server.create ~engine ~name ~ring_capacity:config.ring_capacity ~batch
         ~burst_saving_ns ~jitter ?watermarks:wm ?fault:(fault_for name) ~service_ns
         ~execute ()
     in
-    probes := Probe { server; nf; drain; checkpoint; replay } :: !probes;
+    Recovery.register recovery server role;
     server
   in
-  let classifier, sampler =
+  let classifier, sampler, controller =
     match path with
     | `Interpretive ->
         (* ---------------- interpretive construction ---------------- *)
@@ -973,9 +586,7 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
                 ~ring_capacity:config.ring_capacity ~batch ~burst_saving_ns
                 ~jitter:(jitter_for ()) ~service_ns ~execute ()
             in
-            replica_layout :=
-              (mid, entry, [| nf |], [| (fun () -> Nfp_sim.Server.processed core) |])
-              :: !replica_layout;
+            replica_layout := (mid, entry, [| nf |], [| core |]) :: !replica_layout;
             Hashtbl.replace nf_cores (mid, entry.nf) core)
           nf_impls;
         (* Merger instances: shared across service graphs (paper §5.3: "a
@@ -1117,46 +728,14 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
           @ Array.to_list (Array.map stats_of_server !merger_cores)
           @ (match !agent_core with Some a -> [ stats_of_server a ] | None -> [])
         in
-        (classifier, sampler)
+        (classifier, sampler, Elastic.off)
     | `Compiled ->
         (* ----------------- compiled construction ------------------- *)
-        (* One server array per NF slot: index 0 is the historical
-           single instance, further indices are RSS shards added by the
-           replicas knob for strategy-eligible NFs. *)
-        let nf_servers : Context.t Nfp_sim.Server.t array array ref = ref [||] in
-        (* Bypass state, per slot and replica: a [true] cell routes
-           around that replica — its packets skip processing but still
-           execute the slot's compiled action program (kept in
-           [nf_cprogs]) so downstream cores and mergers see every
-           expected branch. *)
-        let bypassed : bool array array ref = ref [||] in
-        let nf_cprogs : cprog array ref = ref [||] in
-        (* Elastic steering maps, one per slot; [None] = legacy mod-n
-           sharding (the slot is not scalable, or no elastic config). *)
-        let steers : steer option array ref = ref [||] in
-        (* Link channels in front of each NF replica's port; [None]
-           cells keep the direct offer path. Populated after the servers
-           exist. *)
-        let nf_channels : Context.t Channel.t option array array ref = ref [||] in
-        (* RSS shard steering: the packet version each slot's NF reads,
-           so the send site hashes the 5-tuple that replica will observe.
-           The hash is skipped entirely for single-replica slots, keeping
-           the replicas=1 hot path (and trace) bit-identical to the
-           pre-replication system. Upstream 5-tuple rewrites (NAT, LB)
-           are flow-deterministic, so every packet of a flow hashes alike
-           and lands on the same replica. *)
-        let nf_version_of =
-          Array.of_list
-            (List.map (fun (_, (e : Tables.nf_entry), _) -> e.Tables.version) nf_impls)
-        in
-        let packet_bucket ctx slot n =
-          match Context.get ctx nf_version_of.(slot) with
-          | None -> 0
-          | Some pkt ->
-              rss_bucket ~sip:(Packet.sip_int pkt) ~sport:(Packet.sport pkt)
-                ~proto:(Packet.proto pkt) ~dip:(Packet.dip_int pkt)
-                ~dport:(Packet.dport pkt) n
-        in
+        (* One slot per NF, in nf_impls order: its replica cores (index
+           0 is the historical single instance, further indices are RSS
+           shards or elastic standbys), their NF instances, recovery
+           cells, bypass flags and link channels, and its steering. *)
+        let slots : Elastic.slot array ref = ref [||] in
         let merger_cores : cdelivery Nfp_sim.Server.t array ref = ref [||] in
         let agent_core : cdelivery Nfp_sim.Server.t option ref = ref None in
         (* Channels into the merger ports ("merger#i", "merger-agent");
@@ -1166,11 +745,11 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
         let merger_channels : cdelivery Channel.t option array ref = ref [||] in
         let agent_channel : cdelivery Channel.t option ref = ref None in
         let offer_merger i (d : cdelivery) =
-          send_via !merger_channels.(i) !merger_cores.(i) d
+          Channel.offer !merger_channels.(i) !merger_cores.(i) d
         in
         let route_merge (d : cdelivery) =
           match !agent_core with
-          | Some agent -> send_via !agent_channel agent d
+          | Some agent -> Channel.offer !agent_channel agent d
           | None ->
               offer_merger
                 (slot_of_pid (Context.pid d.d_ctx) (Array.length !merger_cores))
@@ -1308,31 +887,21 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
               arr)
           cmerge_table;
         (* The one NF-slot router, behind every send site and every NF
-           link channel. A steered slot looks the bucket up in the live
-           map per attempt, so a committed flip takes effect for every
-           not-yet-offered packet and a retry lands on the new owner; a
-           static slot hashes to a fixed shard. [via] is the replica
-           whose link channel is releasing [ctx], or -1 at a send site:
-           a released packet keeps its shard unless the map moved it,
-           and enters the ring directly. A bypassed replica is out of
-           the graph: the slot's action program runs immediately
-           instead, and [drive] absorbs that emission's backpressure. *)
+           link channel ([Elastic.route] picks the replica). [via] is
+           the replica whose link channel is releasing [ctx], or -1 at a
+           send site: a released packet enters the ring directly. A
+           bypassed replica is out of the graph: the slot's action
+           program runs immediately instead, and [drive] absorbs that
+           emission's backpressure. *)
         let rec send_nf slot ~via ctx =
-          let reps = !nf_servers.(slot) in
-          let n = Array.length reps in
-          let r =
-            if n < 2 then 0
-            else
-              match !steers.(slot) with
-              | Some st -> st.st_map.(packet_bucket ctx slot (Array.length st.st_map))
-              | None -> if via >= 0 then via else packet_bucket ctx slot n
-          in
-          if !bypassed.(slot).(r) then begin
+          let s = !slots.(slot) in
+          let r = Elastic.route s ~via ctx in
+          if s.bypassed.(r) then begin
             incr bypassed_packets;
-            drive (exec_prog !nf_cprogs.(slot) ctx);
+            s.skip ctx;
             true
           end
-          else send_via (if via < 0 then !nf_channels.(slot).(r) else None) reps.(r) ctx
+          else Channel.offer (if via < 0 then s.ports.(r) else None) s.replicas.(r) ctx
         (* Walk a compiled send array with a cursor; the cursor survives
            backpressure retries, so each target is offered in order
            exactly once. *)
@@ -1391,667 +960,198 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
             !acc
           end
         in
-        (* NF cores, one array per entry, in nf_impls order (replica 0
-           first — at replicas=1 the same PRNG split order as the
-           interpretive path). Replica 0 is the caller's NF instance;
-           further replicas are fresh instances from [Nf.fresh], each
-           with its own state, recovery cell, fault stream and probe. *)
-        let built =
-          List.mapi
-            (fun slot (mid, (entry : Tables.nf_entry), (nf0 : Nfp_nf.Nf.t)) ->
-              let prog = compile_actions ~mid ~self:(Tables.D_nf entry.nf) entry.actions in
-              let nil_sends =
-                match entry.nil_target with
-                | None -> [||]
-                | Some id ->
-                    let m = lookup_merge mid id in
-                    [|
-                      S_merge
-                        {
-                          merge = m;
-                          branch = branch_index m.m_spec (Tables.D_nf entry.nf);
-                          nil = true;
-                        };
-                    |]
-              in
-              let base_replicas = replica_count mid entry.nf in
-              (* Scalable = the elastic controller may add/remove
-                 replicas at runtime: the plan clears the NF for
-                 sharding AND its state supports live extraction
-                 ([Replication.migratable]). Standby replicas up to the
-                 ceiling are built now — activation is then a pure
-                 steering-map change. *)
-              let scalable =
-                match elastic with
-                | Some (ec : elastic_config) ->
-                    ec.max_replicas > 1
-                    && Replication.migratable nf0
-                    && shardable mid entry.nf
-                | None -> false
-              in
-              let n_replicas =
-                match elastic with
-                | Some ec when scalable -> max base_replicas ec.max_replicas
-                | _ -> base_replicas
-              in
-              let make_replica r (nf : Nfp_nf.Nf.t) jitter =
-              (* Lossless-recovery cell, armed when checkpointing is on
-                 and the NF can snapshot/restore its state: the last
-                 checkpoint, plus a bounded log of pre-processing packet
-                 copies appended since (each carries its MID/PID/version
-                 metadata). A full log forces a checkpoint early — never
-                 a silent loss. [charge] is wired to the server (created
-                 below) so checkpoint time lands on the NF core. *)
-              let recovery =
-                if not lossless then None
-                else
-                  match (nf.snapshot, nf.restore) with
-                  | Some snap, Some restore_state ->
-                      let snapref = ref (snap ()) in
-                      let log : Packet.t list ref = ref [] in
-                      let log_len = ref 0 in
-                      let charge = ref (fun (_ : float) -> ()) in
-                      let ckpt_ns = Nfp_sim.Cost.ns_of_cycles cost cost.checkpoint_cycles in
-                      let take_checkpoint ~forced () =
-                        (* An empty log means no packet touched the NF
-                           since the last snapshot — the state cannot
-                           have changed, so re-snapshotting would buy
-                           nothing and still charge the core. *)
-                        if !log_len > 0 then begin
-                          snapref := snap ();
-                          log := [];
-                          log_len := 0;
-                          incr checkpoints;
-                          if forced then incr forced_checkpoints;
-                          !charge ckpt_ns
-                        end
-                      in
-                      let log_packet pkt =
-                        if !log_len >= log_capacity then take_checkpoint ~forced:true ();
-                        log := Packet.full_copy pkt :: !log;
-                        incr log_len
-                      in
-                      (* Restore the checkpoint and re-process the log in
-                         arrival order on the logged copies: state effects
-                         replay exactly, nothing is emitted (the original
-                         emissions stand — output suppression), and the
-                         time is returned as added downtime. *)
-                      let replay () =
-                        restore_state !snapref;
-                        let extra = ref 0.0 in
-                        List.iter
-                          (fun pkt ->
-                            let cycles = cost.replay_cycles + nf.cost_cycles pkt in
-                            (try ignore (nf.process pkt) with _ -> ());
-                            incr replayed;
-                            extra := !extra +. Nfp_sim.Cost.ns_of_cycles cost cycles)
-                          (List.rev !log);
-                        (* The replayed state is the fresh checkpoint; the
-                           log restarts empty. Uncharged: the core is down
-                           and the replay is already in its downtime. *)
-                        snapref := snap ();
-                        log := [];
-                        log_len := 0;
-                        !extra
-                      in
-                      (* Migration commit: the replica's state just
-                         changed out from under the checkpoint (entries
-                         carved out at the source, folded in at the
-                         destination), so the recovery cell must be
-                         re-seeded — otherwise a later crash-replay
-                         would resurrect migrated state at the source
-                         or lose absorbed state at the destination. *)
-                      let refresh () =
-                        snapref := snap ();
-                        log := [];
-                        log_len := 0
-                      in
-                      Some (take_checkpoint, log_packet, replay, charge, refresh)
-                  | _ -> None
-              in
-              let static =
-                cost.ring_dequeue + cost.nf_runtime + prog.p_static
-                + match recovery with Some _ -> cost.log_append | None -> 0
-              in
-              (* Pressure-degrade switch: while this replica's own ring
-                 sits above the watermark, an NF that declares a degrade
-                 mode runs its coarsened semantics at its coarsened
-                 cost. The predicate reads the server created below
-                 (through a cell, to break the creation cycle); within
-                 one breath the ring occupancy is constant, so pricing
-                 and execution always agree per breath. Without an
-                 overload config (or without a declared mode) [deg] is
-                 [None] and this entire path is dead code. *)
-              let deg = if degrade_on then nf.Nfp_nf.Nf.degrade else None in
-              let self_pressured = ref (fun () -> false) in
-              let deg_active = ref false in
-              let service_ns ctx =
-                let nf_cycles =
-                  match Context.get ctx entry.version with
-                  | Some pkt -> (
-                      match deg with
-                      | Some d when !self_pressured () -> d.Nfp_nf.Nf.d_cost_cycles pkt
-                      | _ -> nf.cost_cycles pkt)
-                  | None -> 0
-                in
-                Nfp_sim.Cost.ns_of_cycles cost (static + nf_cycles + dyn_cycles prog ctx)
-              in
-              let execute ctx =
-                match Context.get ctx entry.version with
-                | None -> const_true
-                | Some pkt -> (
-                    (match recovery with
-                    | Some (_, log_packet, _, _, _) -> log_packet pkt
-                    | None -> ());
-                    let degrade_mode =
-                      match deg with
-                      | None -> None
-                      | Some d ->
-                          let p = !self_pressured () in
-                          if p <> !deg_active then begin
-                            deg_active := p;
-                            if p then incr degrade_switches
-                          end;
-                          if p then Some d else None
-                    in
-                    let verdict =
-                      try
-                        match degrade_mode with
-                        | Some d ->
-                            incr degraded_packets;
-                            d.Nfp_nf.Nf.d_process pkt
-                        | None -> nf.process pkt
-                      with exn ->
-                        Log.warn (fun m ->
-                            m "NF %s crashed on packet %Ld: %s" entry.nf (Context.pid ctx)
-                              (Printexc.to_string exn));
-                        Nfp_nf.Nf.Dropped
-                    in
-                    match verdict with
-                    | Nfp_nf.Nf.Forward -> exec_prog prog ctx
-                    | Nfp_nf.Nf.Dropped ->
-                        if Array.length nil_sends > 0 then exec_sends nil_sends ctx
-                        else begin
-                          incr nf_drops;
-                          const_true
-                        end)
-              in
-              (* Replica 0 keeps the historical core name; shards get an
-                 @r suffix, so fault plans can target (and crash) each
-                 replica independently. *)
-              let name =
-                if r = 0 then Printf.sprintf "mid%d:%s" mid entry.nf
-                else Printf.sprintf "mid%d:%s@%d" mid entry.nf r
-              in
-              (* Bypass recovery: mark the replica, reroute this core's
-                 casualties (the in-flight batch its kill reclaimed, and
-                 any pending emissions) plus the queued backlog through
-                 its action program, so every packet lands in exactly
-                 one ledger bucket and no merger waits on this branch.
-                 Other replicas of the slot keep processing. *)
-              let drain server =
-                !bypassed.(slot).(r) <- true;
-                Nfp_sim.Server.set_casualty_sink server (fun jobs emits ->
-                    List.iter
-                      (fun ctx ->
-                        incr bypassed_packets;
-                        drive (exec_prog prog ctx))
-                      jobs;
-                    List.iter drive emits);
-                let backlog = Nfp_sim.Server.drain server in
-                List.iter
-                  (fun ctx ->
-                    incr bypassed_packets;
-                    drive (exec_prog prog ctx))
-                  backlog;
-                List.length backlog
-              in
-              let server =
-                core ~nf:(mid, entry.nf) ~drain
-                  ?checkpoint:(Option.map (fun (take, _, _, _, _) -> take ~forced:false) recovery)
-                  ?replay:(Option.map (fun (_, _, replay, _, _) -> replay) recovery)
-                  ~name ~jitter ~service_ns ~execute ()
-              in
-              self_pressured := (fun () -> Nfp_sim.Server.pressured server);
-              (match recovery with
-              | Some (_, _, _, charge, _) -> charge := Nfp_sim.Server.charge server
-              | None -> ());
-              ( server,
-                match recovery with
-                | Some (_, _, _, _, refresh) -> refresh
-                | None -> fun () -> () )
-              in
-              let replica_nfs =
-                Array.init n_replicas (fun r ->
-                    if r = 0 then nf0
-                    else
-                      match nf0.Nfp_nf.Nf.fresh with
-                      | Some fresh -> fresh ()
-                      | None -> assert false (* replica_count guarantees fresh *))
-              in
-              (* Build replicas in index order ([Array.init] applies in
-                 order): each creation splits the jitter PRNG, and the
-                 replicas=1 trace must keep the historical split
-                 sequence. Standby replicas (index >= the static count)
-                 split the independent elastic stream instead, leaving
-                 the main sequence untouched. *)
-              let reps, refreshers =
-                Array.split
-                  (Array.init n_replicas (fun r ->
-                       let jitter =
-                         if r < base_replicas then jitter_for () else elastic_jitter_for ()
-                       in
-                       make_replica r replica_nfs.(r) jitter))
-              in
-              replica_layout :=
-                ( mid,
-                  entry,
-                  replica_nfs,
-                  Array.map
-                    (fun s () -> Nfp_sim.Server.processed s)
-                    reps )
-                :: !replica_layout;
-              (* Steering state: flows hash into [buckets] RSS buckets,
-                 buckets map to replicas. The initial identity map
-                 ([b mod active]) reproduces static sharding over the
-                 initially-active replicas. *)
-              let steer =
-                match elastic with
-                | Some (ec : elastic_config) when scalable ->
-                    let init = min n_replicas (max base_replicas ec.min_replicas) in
-                    Some
-                      {
-                        st_map = Array.init ec.buckets (fun b -> b mod init);
-                        st_epoch = 0;
-                        st_active = init;
-                        st_draining = -1;
-                        st_backoff = 0.0;
-                        st_last_op = neg_infinity;
-                        st_mig = None;
-                      }
-                | _ -> None
-              in
-              ( reps,
-                prog,
-                Option.map (fun st -> (st, replica_nfs, refreshers)) steer ))
-            nf_impls
-          |> Array.of_list
+        (* NF slots, in nf_impls order (replica 0 first — at replicas=1
+           the same PRNG split order as the interpretive path). Replica 0
+           is the caller's NF instance; further replicas are fresh
+           instances from [Nf.fresh], each with its own state, recovery
+           cell, fault stream and watchdog entry. *)
+        slots :=
+          Array.of_list
+            (List.mapi
+               (fun slot (mid, (entry : Tables.nf_entry), (nf0 : Nfp_nf.Nf.t)) ->
+                 let prog = compile_actions ~mid ~self:(Tables.D_nf entry.nf) entry.actions in
+                 let nil_sends =
+                   match entry.nil_target with
+                   | None -> [||]
+                   | Some id ->
+                       let m = lookup_merge mid id in
+                       [|
+                         S_merge
+                           {
+                             merge = m;
+                             branch = branch_index m.m_spec (Tables.D_nf entry.nf);
+                             nil = true;
+                           };
+                       |]
+                 in
+                 let base = replica_count mid entry.nf in
+                 let steer =
+                   Elastic.steer elastic ~shardable:(fun () -> shardable mid entry.nf) ~base nf0
+                 in
+                 let width = Elastic.width steer ~base in
+                 let bypassed = Array.make width false in
+                 let skip ctx = drive (exec_prog prog ctx) in
+                 let make_replica r (nf : Nfp_nf.Nf.t) jitter =
+                   let cell = Recovery.cell recovery nf in
+                   let static =
+                     cost.ring_dequeue + cost.nf_runtime + prog.p_static + Recovery.log_cycles cell
+                   in
+                   (* Pressure-degrade switch: while this replica's own
+                      ring sits above the watermark, an NF that declares
+                      a degrade mode runs its coarsened semantics at its
+                      coarsened cost. The predicate reads the server
+                      created below (through a cell, to break the
+                      creation cycle); within one breath the ring
+                      occupancy is constant, so pricing and execution
+                      always agree per breath. Without an overload config
+                      (or without a declared mode) [deg] is [None] and
+                      this entire path is dead code. *)
+                   let deg = if degrade_on then nf.Nfp_nf.Nf.degrade else None in
+                   let self_pressured = ref (fun () -> false) in
+                   let deg_active = ref false in
+                   let service_ns ctx =
+                     let nf_cycles =
+                       match Context.get ctx entry.version with
+                       | Some pkt -> (
+                           match deg with
+                           | Some d when !self_pressured () -> d.Nfp_nf.Nf.d_cost_cycles pkt
+                           | _ -> nf.cost_cycles pkt)
+                       | None -> 0
+                     in
+                     Nfp_sim.Cost.ns_of_cycles cost (static + nf_cycles + dyn_cycles prog ctx)
+                   in
+                   let execute ctx =
+                     match Context.get ctx entry.version with
+                     | None -> const_true
+                     | Some pkt -> (
+                         Recovery.log cell pkt;
+                         let degrade_mode =
+                           match deg with
+                           | None -> None
+                           | Some d ->
+                               let p = !self_pressured () in
+                               if p <> !deg_active then begin
+                                 deg_active := p;
+                                 if p then incr degrade_switches
+                               end;
+                               if p then Some d else None
+                         in
+                         let verdict =
+                           try
+                             match degrade_mode with
+                             | Some d ->
+                                 incr degraded_packets;
+                                 d.Nfp_nf.Nf.d_process pkt
+                             | None -> nf.process pkt
+                           with exn ->
+                             Log.warn (fun m ->
+                                 m "NF %s crashed on packet %Ld: %s" entry.nf (Context.pid ctx)
+                                   (Printexc.to_string exn));
+                             Nfp_nf.Nf.Dropped
+                         in
+                         match verdict with
+                         | Nfp_nf.Nf.Forward -> exec_prog prog ctx
+                         | Nfp_nf.Nf.Dropped ->
+                             if Array.length nil_sends > 0 then exec_sends nil_sends ctx
+                             else begin
+                               incr nf_drops;
+                               const_true
+                             end)
+                   in
+                   (* Replica 0 keeps the historical core name; shards get
+                      an @r suffix, so fault plans can target (and crash)
+                      each replica independently. *)
+                   let name =
+                     if r = 0 then Printf.sprintf "mid%d:%s" mid entry.nf
+                     else Printf.sprintf "mid%d:%s@%d" mid entry.nf r
+                   in
+                   (* Bypass recovery: mark the replica, reroute this
+                      core's casualties (the in-flight batch its kill
+                      reclaimed, and any pending emissions) plus the
+                      queued backlog through its action program, so
+                      every packet lands in exactly one ledger bucket and
+                      no merger waits on this branch. Other replicas of
+                      the slot keep processing. *)
+                   let bypass ctx =
+                     incr bypassed_packets;
+                     skip ctx
+                   in
+                   let drain server =
+                     bypassed.(r) <- true;
+                     Nfp_sim.Server.set_casualty_sink server (fun jobs emits ->
+                         List.iter bypass jobs;
+                         List.iter drive emits);
+                     let backlog = Nfp_sim.Server.drain server in
+                     List.iter bypass backlog;
+                     List.length backlog
+                   in
+                   let standby () = Elastic.standby steer r in
+                   let server =
+                     core
+                       ~role:(Recovery.Nf { mid; name = entry.nf; drain; cell; standby })
+                       ~name ~jitter ~service_ns ~execute ()
+                   in
+                   self_pressured := (fun () -> Nfp_sim.Server.pressured server);
+                   (server, cell)
+                 in
+                 let nfs =
+                   Array.init width (fun r ->
+                       if r = 0 then nf0
+                       else
+                         match nf0.Nfp_nf.Nf.fresh with
+                         | Some fresh -> fresh ()
+                         | None -> assert false (* replica_count guarantees fresh *))
+                 in
+                 (* Build replicas in index order ([Array.init] applies
+                    in order): each creation splits the jitter PRNG, and
+                    the replicas=1 trace must keep the historical split
+                    sequence. Standby replicas (index >= the static
+                    count) split the independent elastic stream instead,
+                    leaving the main sequence untouched. *)
+                 let replicas, cells =
+                   Array.split
+                     (Array.init width (fun r ->
+                          let jitter = if r < base then jitter_for () else elastic_jitter_for () in
+                          make_replica r nfs.(r) jitter))
+                 in
+                 replica_layout := (mid, entry, nfs, replicas) :: !replica_layout;
+                 {
+                   Elastic.version = entry.version;
+                   replicas;
+                   nfs;
+                   cells;
+                   bypassed;
+                   skip;
+                   (* Releases go back through the slot router, so a
+                      packet buffered on the link while a migration flips
+                      its bucket, or while the watchdog bypasses the
+                      replica, lands where it would be routed *now*. The
+                      reroute of a Down link runs the slot's action
+                      program off-core, bypass-style. *)
+                   ports =
+                     Array.mapi
+                       (fun r srv ->
+                         channel_for ~name:(Nfp_sim.Server.name srv) ~deliver:(send_nf slot ~via:r)
+                           ~reroute:skip)
+                       replicas;
+                   (* Migration transfers get their own link family:
+                      moved in-flight packets cross the fabric like any
+                      other edge, so a plan can perturb the re-home path
+                      independently of the data path. *)
+                   migrate =
+                     (if Option.is_none steer then [||]
+                      else
+                        Array.map
+                          (fun srv -> channel_to ("migrate:" ^ Nfp_sim.Server.name srv) srv)
+                          replicas);
+                   steer;
+                 })
+               nf_impls);
+        let controller =
+          Elastic.create elastic engine ~fault ~ring_capacity:config.ring_capacity
+            ~busy:(fun () -> Recovery.busy recovery)
+            !slots
         in
-        nf_servers := Array.map (fun (reps, _, _) -> reps) built;
-        nf_cprogs := Array.map (fun (_, prog, _) -> prog) built;
-        steers := Array.map (fun (_, _, e) -> Option.map (fun (st, _, _) -> st) e) built;
-        bypassed := Array.map (fun reps -> Array.make (Array.length reps) false) !nf_servers;
-        (* Channelize the NF ports. Releases go back through the slot
-           router, so a packet buffered on the link while a migration
-           flips its bucket, or while the watchdog bypasses the replica,
-           lands where it would be routed *now*: channel residency can
-           never resurrect a retired owner's state. The reroute of a
-           Down link runs the slot's action program off-core,
-           bypass-style: downstream sees every expected branch. *)
-        nf_channels :=
-          Array.mapi
-            (fun slot reps ->
-              Array.mapi
-                (fun r srv ->
-                  channel_for ~name:(Nfp_sim.Server.name srv)
-                    ~deliver:(send_nf slot ~via:r)
-                    ~reroute:(fun ctx -> drive (exec_prog !nf_cprogs.(slot) ctx)))
-                reps)
-            !nf_servers;
-        (* ---------------------------------------------------------- *)
-        (* Elastic controller. Ticks every [control_interval_ns]      *)
-        (* while the system has work (kicked from inject, stops when  *)
-        (* idle, like the watchdog); per scalable slot it retires     *)
-        (* drained replicas, rebalances bucket ownership, and makes   *)
-        (* cooldown-gated scale decisions from ring occupancy. At     *)
-        (* most one migration is in flight per slot; its commit is an *)
-        (* independently scheduled event, so a down controller never  *)
-        (* wedges a frozen source — the commit fires and aborts.      *)
-        (* ---------------------------------------------------------- *)
-        (match elastic with
-        | None -> ()
-        | Some (ec : elastic_config) ->
-            let eslots =
-              Array.to_list built
-              |> List.mapi (fun slot (reps, _, e) ->
-                     Option.map (fun (st, nfs, refs) -> (slot, reps, nfs, refs, st)) e)
-              |> List.filter_map Fun.id |> Array.of_list
-            in
-            if Array.length eslots > 0 then begin
-              let nb = ec.buckets in
-              (* [sip_int]/[dip_int] are the unsigned ints of the 32-bit
-                 addresses, so the extract predicate's bucket agrees with
-                 the steering bucket of every packet of the flow. *)
-              let flow_bucket (f : Flow.t) =
-                rss_bucket
-                  ~sip:(Int32.to_int f.sip land 0xffffffff)
-                  ~sport:f.sport ~proto:f.proto
-                  ~dip:(Int32.to_int f.dip land 0xffffffff)
-                  ~dport:f.dport nb
-              in
-              let owned st r =
-                Array.fold_left (fun acc o -> if o = r then acc + 1 else acc) 0 st.st_map
-              in
-              (* A replica behind a link the channels declared Down is
-                 unreachable, dead or not: the controller must not
-                 activate it, rebalance onto it, or migrate toward it
-                 until the partition heals. *)
-              let link_ok slot r =
-                match !nf_channels.(slot).(r) with
-                | Some ch -> not (Channel.is_down ch)
-                | None -> true
-              in
-              let alive slot (reps : Context.t Nfp_sim.Server.t array) r =
-                (not (Nfp_sim.Server.is_down reps.(r))) && link_ok slot r
-              in
-              (* Migration transfers get their own link family
-                 ("migrate:<replica>"): moved in-flight packets cross the
-                 fabric like any other edge, so a plan can perturb the
-                 re-home path independently of the data path. *)
-              let mig_channels = Hashtbl.create 8 in
-              Array.iter
-                (fun (slot, reps, _, _, _) ->
-                  Hashtbl.replace mig_channels slot
-                    (Array.map
-                       (fun srv -> channel_to ("migrate:" ^ Nfp_sim.Server.name srv) srv)
-                       reps))
-                eslots;
-              let occ reps r =
-                float_of_int (Nfp_sim.Server.queue_length reps.(r))
-                /. float_of_int (max 1 config.ring_capacity)
-              in
-              (* Highest-numbered owned buckets first: deterministic,
-                 and a draining replica hands its range back in the
-                 order scale-out granted it. *)
-              let pick_buckets st ~src ~count =
-                let picked = ref [] and n = ref 0 in
-                for b = nb - 1 downto 0 do
-                  if !n < count && st.st_map.(b) = src then begin
-                    picked := b :: !picked;
-                    incr n
-                  end
-                done;
-                !picked
-              in
-              (* Phase 2: commit or roll back. Abort leaves the old map
-                 in force with the source unfrozen — nothing observable
-                 changed since the freeze (the backlog only aged). The
-                 commit path is one simulation event: backlog partition,
-                 state carve/fold, recovery-cell refresh, map flip,
-                 re-home — no packet can interleave. *)
-              let rec commit ((slot, reps, nfs, refs, st) as es) () =
-                match st.st_mig with
-                | None -> ()
-                | Some mg ->
-                    let now = Nfp_sim.Engine.now engine in
-                    let src = reps.(mg.mg_src) and dst = reps.(mg.mg_dst) in
-                    let abort () =
-                      st.st_mig <- None;
-                      incr migration_aborts;
-                      st.st_last_op <- now;
-                      st.st_backoff <- now +. ec.cooldown_ns;
-                      Nfp_sim.Server.unpause src
-                    in
-                    if
-                      !controller_down
-                      || Nfp_sim.Server.is_down src
-                      || Nfp_sim.Server.is_down dst
-                      || not (link_ok slot mg.mg_dst)
-                    then abort ()
-                    else begin
-                      let backlog = Nfp_sim.Server.take_backlog src in
-                      let moved, kept =
-                        List.partition
-                          (fun ctx -> List.mem (packet_bucket ctx slot nb) mg.mg_buckets)
-                          backlog
-                      in
-                      if Nfp_sim.Server.free_slots dst < List.length moved then begin
-                        (* No room at the destination: put the backlog
-                           back untouched and retry until the deadline,
-                           then roll back. *)
-                        Nfp_sim.Server.requeue src backlog;
-                        if
-                          (* More frozen packets than the destination
-                             ring can ever hold: no amount of retrying
-                             helps, and every retry keeps the source
-                             frozen and its backlog growing. *)
-                          List.length moved > config.ring_capacity
-                          || now +. ec.commit_retry_ns > mg.mg_deadline
-                        then abort ()
-                        else
-                          Nfp_sim.Engine.schedule engine ~delay:ec.commit_retry_ns
-                            (commit es)
-                      end
-                      else begin
-                        Nfp_sim.Server.requeue src kept;
-                        (* State transfer: carve the moving flows' per-
-                           flow entries out of the source instance and
-                           fold them into the destination ([None] =
-                           Replicated_readonly, where replicas are
-                           interchangeable and nothing moves). *)
-                        (match nfs.(mg.mg_src).Nfp_nf.Nf.extract with
-                        | Some extract ->
-                            let in_moved flow =
-                              List.mem (flow_bucket flow) mg.mg_buckets
-                            in
-                            Nfp_nf.Nf.absorb nfs.(mg.mg_dst) (extract in_moved)
-                        | None -> ());
-                        refs.(mg.mg_src) ();
-                        refs.(mg.mg_dst) ();
-                        List.iter (fun b -> st.st_map.(b) <- mg.mg_dst) mg.mg_buckets;
-                        st.st_epoch <- st.st_epoch + 1;
-                        st.st_mig <- None;
-                        incr migrations;
-                        migrated_packets := !migrated_packets + List.length moved;
-                        st.st_last_op <- now;
-                        (* Unpause first: orphaned emissions of already-
-                           executed source jobs pump now, so downstream
-                           sees them before anything the destination
-                           emits for the re-homed packets. *)
-                        Nfp_sim.Server.unpause src;
-                        (* Room was verified above and nothing ran since,
-                           so these offers cannot fail; [drive] is a
-                           belt-and-braces backstop, not a code path.
-                           Under links the re-home crosses the migrate
-                           channel — drops there retransmit like any
-                           other edge. *)
-                        let channel = (Hashtbl.find mig_channels slot).(mg.mg_dst) in
-                        List.iter (fun ctx -> drive (fun () -> send_via channel dst ctx)) moved
-                      end
-                    end
-              in
-              (* Phase 1: freeze the source and schedule the commit one
-                 transfer window later. *)
-              let start ((slot, reps, _, _, st) as es) ~src ~dst ~count =
-                if
-                  count > 0 && src <> dst && alive slot reps src
-                  && alive slot reps dst
-                  && not (Nfp_sim.Server.is_paused reps.(src))
-                  && Nfp_sim.Engine.now engine >= st.st_backoff
-                then begin
-                  let buckets = pick_buckets st ~src ~count in
-                  if buckets <> [] then begin
-                    st.st_mig <-
-                      Some
-                        {
-                          mg_src = src;
-                          mg_dst = dst;
-                          mg_buckets = buckets;
-                          mg_deadline =
-                            Nfp_sim.Engine.now engine +. ec.migration_deadline_ns;
-                        };
-                    Nfp_sim.Server.pause reps.(src);
-                    Nfp_sim.Engine.schedule engine ~delay:ec.transfer_ns (commit es)
-                  end
-                end
-              in
-              let step ((slot, reps, _, _, st) as es) =
-                if st.st_mig = None then begin
-                  let now = Nfp_sim.Engine.now engine in
-                  let floor_active = max 1 (min ec.min_replicas (Array.length reps)) in
-                  let limit = min ec.max_replicas (Array.length reps) in
-                  (* Retire a drained replica: it owns no buckets, so no
-                     packet can reach it — deactivation is pure
-                     bookkeeping. Its counters stay in the [health]
-                     sums (cluster totals must not dip when a core
-                     disappears from the active set). *)
-                  if st.st_draining >= 0 && owned st st.st_draining = 0 then begin
-                    st.st_active <- st.st_active - 1;
-                    st.st_draining <- -1;
-                    incr scale_ins;
-                    st.st_last_op <- now
-                  end;
-                  if st.st_draining >= 0 then begin
-                    (* Scale-in in progress: hand the draining replica's
-                       buckets to the least-owned other active replica,
-                       one batch per tick. *)
-                    let dst = ref (-1) in
-                    for r = 0 to st.st_active - 1 do
-                      if
-                        r <> st.st_draining && alive slot reps r
-                        && (!dst < 0 || owned st r < owned st !dst)
-                      then dst := r
-                    done;
-                    if !dst >= 0 then
-                      start es ~src:st.st_draining ~dst:!dst
-                        ~count:(min ec.migration_batch (owned st st.st_draining))
-                  end
-                  else begin
-                    (* Rebalance toward equal ownership (this is also
-                       how a just-activated replica, owning nothing,
-                       fills up). *)
-                    let mx = ref (-1) and mn = ref (-1) in
-                    for r = 0 to st.st_active - 1 do
-                      if alive slot reps r then begin
-                        if !mx < 0 || owned st r > owned st !mx then mx := r;
-                        if !mn < 0 || owned st r < owned st !mn then mn := r
-                      end
-                    done;
-                    if !mx >= 0 && !mn >= 0 && owned st !mx - owned st !mn >= 2 then
-                      start es ~src:!mx ~dst:!mn
-                        ~count:
-                          (min ec.migration_batch ((owned st !mx - owned st !mn) / 2))
-                    else if now -. st.st_last_op >= ec.cooldown_ns then begin
-                      let max_occ = ref 0.0 in
-                      for r = 0 to st.st_active - 1 do
-                        if alive slot reps r then
-                          max_occ := Float.max !max_occ (occ reps r)
-                      done;
-                      if
-                        !max_occ >= ec.scale_out_occupancy && st.st_active < limit
-                        && alive slot reps st.st_active
-                      then begin
-                        (* Activate the next standby; rebalance moves
-                           buckets onto it from the next tick on. *)
-                        st.st_active <- st.st_active + 1;
-                        incr scale_outs;
-                        st.st_last_op <- now
-                      end
-                      else if
-                        !max_occ <= ec.scale_in_occupancy && st.st_active > floor_active
-                      then begin
-                        st.st_draining <- st.st_active - 1;
-                        st.st_last_op <- now
-                      end
-                    end
-                  end
-                end
-              in
-              (* Whether the controller can move a draining replica's
-                 buckets by itself, waiting out a backoff at most: the
-                 source and some other active replica must be alive. *)
-              let drain_movable (slot, reps, _, _, st) =
-                let rec has_dst r =
-                  r < st.st_active
-                  && ((r <> st.st_draining && alive slot reps r) || has_dst (r + 1))
-                in
-                alive slot reps st.st_draining && has_dst 0
-              in
-              let active = ref false in
-              let rec tick () =
-                if not !controller_down then Array.iter step eslots;
-                (* A drain whose source, or every destination, is down
-                   or cut off waits for a revive, and only another event
-                   can bring one (a watchdog restart, a hang's end, a
-                   link healing). With nothing else on the calendar it
-                   never comes, so polling that drain would spin
-                   forever. *)
-                let pending =
-                  Array.exists
-                    (fun ((_, _, _, _, st) as es) ->
-                      st.st_mig <> None
-                      || st.st_draining >= 0
-                         && (Nfp_sim.Engine.pending engine > 0 || drain_movable es))
-                    eslots
-                  || List.exists
-                       (fun (Probe p) ->
-                         Nfp_sim.Server.queue_length p.server > 0
-                         || Nfp_sim.Server.is_busy p.server)
-                       !probes
-                in
-                if pending then
-                  Nfp_sim.Engine.schedule engine ~delay:ec.control_interval_ns tick
-                else active := false
-              in
-              elastic_kick :=
-                (fun () ->
-                  if not !active then begin
-                    active := true;
-                    Nfp_sim.Engine.schedule engine ~delay:ec.control_interval_ns tick
-                  end);
-              migrating_gauge :=
-                (fun () ->
-                  Array.fold_left
-                    (fun acc (_, reps, _, _, st) ->
-                      match st.st_mig with
-                      | Some mg -> acc + Nfp_sim.Server.queue_length reps.(mg.mg_src)
-                      | None -> acc)
-                    0 eslots);
-              (* Health view: a paused source reports "migrating", an
-                 inactive replica "standby" — operators can tell a
-                 quiesced or not-yet-activated core from a dead one. *)
-              let by_name :
-                  (string, steer * int * Context.t Nfp_sim.Server.t) Hashtbl.t =
-                Hashtbl.create 32
-              in
-              Array.iter
-                (fun (_, reps, _, _, st) ->
-                  Array.iteri
-                    (fun r srv ->
-                      Hashtbl.replace by_name (Nfp_sim.Server.name srv) (st, r, srv))
-                    reps)
-                eslots;
-              core_state_override :=
-                (fun name ->
-                  match Hashtbl.find_opt by_name name with
-                  | None -> None
-                  | Some (st, r, srv) ->
-                      if Nfp_sim.Server.is_paused srv then Some "migrating"
-                      else if r >= st.st_active then Some "standby"
-                      else None);
-              (* Controller fault site: the pseudo-core "elastic". *)
-              match fault with
-              | None -> ()
-              | Some (fc : fault_config) -> (
-                  match Nfp_sim.Fault.for_core fc.plan "elastic" with
-                  | None -> ()
-                  | Some fcore ->
-                      List.iter
-                        (function
-                          | Nfp_sim.Fault.Crash { at_ns } ->
-                              Nfp_sim.Engine.schedule engine ~delay:at_ns (fun () ->
-                                  controller_down := true;
-                                  Nfp_sim.Engine.schedule engine ~delay:fc.restart_ns
-                                    (fun () -> controller_down := false))
-                          | Nfp_sim.Fault.Hang { at_ns; duration_ns } ->
-                              Nfp_sim.Engine.schedule engine ~delay:at_ns (fun () ->
-                                  controller_down := true);
-                              Nfp_sim.Engine.schedule engine
-                                ~delay:(at_ns +. duration_ns) (fun () ->
-                                  controller_down := false)
-                          | Nfp_sim.Fault.Slowdown _ | Nfp_sim.Fault.Drop _ -> ())
-                        fcore.Nfp_sim.Fault.events)
-            end);
         (* Merge completion, shared by the full-arrival path and the
            timeout path. [nil_mask] decides the drop policy; [skip_mask]
            marks branches whose versions must not feed the merge ops —
@@ -2196,13 +1296,14 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
         in
         let sampler () =
           stats_of_server classifier
-          :: (Array.to_list (Array.concat (Array.to_list !nf_servers))
+          :: (Array.to_list
+                (Array.concat (List.map (fun (s : Elastic.slot) -> s.replicas) (Array.to_list !slots)))
              |> List.map stats_of_server
              |> List.sort (fun a b -> compare a.core b.core))
           @ Array.to_list (Array.map stats_of_server !merger_cores)
           @ (match !agent_core with Some a -> [ stats_of_server a ] | None -> [])
         in
-        (classifier, sampler)
+        (classifier, sampler, controller)
   in
   (* Classifier front end: CT match, metadata tagging, first-hop actions.
      Unmatched packets are discarded (no service graph owns them) and
@@ -2239,7 +1340,7 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
      it after a run drains — the digest reads live NF state. *)
   let replication_report () =
     List.rev_map
-      (fun (mid, (entry : Tables.nf_entry), nfs_arr, processed_arr) ->
+      (fun (mid, (entry : Tables.nf_entry), nfs_arr, servers) ->
         let nf0 : Nfp_nf.Nf.t = nfs_arr.(0) in
         let merged_digest =
           if Array.length nfs_arr = 1 then nf0.state_digest ()
@@ -2270,7 +1371,7 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
           rr_kind = nf0.kind;
           rr_strategy = Replication.derive nf0;
           rr_replicas = Array.length nfs_arr;
-          rr_processed = Array.to_list (Array.map (fun f -> f ()) processed_arr);
+          rr_processed = Array.to_list (Array.map Nfp_sim.Server.processed servers);
           rr_merged_digest = merged_digest;
         })
       !replica_layout
@@ -2342,195 +1443,14 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
             build chain)
   in
   (* ---------------------------------------------------------------- *)
-  (* Watchdog: per-core progress heartbeats. A core is healthy while  *)
-  (* it processes packets or at least retries a stalled emission      *)
-  (* (backpressure is not failure); a core with queued work and a     *)
-  (* frozen heartbeat past the deadline is declared failed and its    *)
-  (* recovery policy runs. The watchdog wakes on injection and stops  *)
-  (* rescheduling itself when every core is idle, so a finished       *)
-  (* simulation drains.                                               *)
-  (* ---------------------------------------------------------------- *)
-  let probe_arr = Array.of_list (List.rev !probes) in
-  let detections = ref 0 and restarts = ref 0 and bypasses = ref 0 in
-  let degrades = ref 0 and recoveries = ref 0 in
-  let breaker_trips = ref 0 and backoffs = ref 0 in
-  let degraded = Array.make (Array.length table) false in
-  let wstate = Array.make (Array.length probe_arr) `Up in
-  let wd_kick =
-    match fault with
-    | None -> fun () -> ()
-    | Some (fc : fault_config) ->
-        let n = Array.length probe_arr in
-        let prev_processed = Array.make n 0 in
-        let prev_stalled = Array.make n 0.0 in
-        let last_progress = Array.make n 0.0 in
-        let active = ref false in
-        let next_ckpt = ref infinity in
-        let mark_progress i (Probe p) now =
-          prev_processed.(i) <- Nfp_sim.Server.processed p.server;
-          prev_stalled.(i) <- Nfp_sim.Server.stalled_ns p.server;
-          last_progress.(i) <- now
-        in
-        (* Circuit breaker: consecutive watchdog detections of each
-           core since its last observed processed-packet progress. The
-           n-th consecutive restart backs off exponentially; past
-           [breaker_threshold] the breaker trips — an NF core falls to
-           the [breaker_fallback] policy instead of restart-looping
-           forever. A threshold of 0 disables both (the pre-breaker
-           behavior, bit for bit). *)
-        let consec = Array.make n 0 in
-        let breaker_on = fc.breaker_threshold > 0 in
-        let recover i (Probe p as probe) =
-          incr detections;
-          consec.(i) <- consec.(i) + 1;
-          let restart_delay () =
-            if breaker_on && consec.(i) > 1 then begin
-              incr backoffs;
-              Float.min fc.backoff_max_ns
-                (fc.restart_ns *. (fc.backoff_factor ** float_of_int (consec.(i) - 1)))
-            end
-            else fc.restart_ns
-          in
-          let restart_core ~on_up () =
-            wstate.(i) <- `Restarting;
-            Nfp_sim.Server.kill p.server;
-            (* Lossless restart: restore the last checkpoint and replay
-               the input log before the core comes back — the replay
-               time extends the outage — then re-admit the reclaimed
-               casualties instead of flushing them. *)
-            let replay_ns = if lossless then p.replay () else 0.0 in
-            Nfp_sim.Engine.schedule engine ~delay:(restart_delay () +. replay_ns)
-              (fun () ->
-                if lossless then begin
-                  let jobs, emits = Nfp_sim.Server.casualty_counts p.server in
-                  salvaged := !salvaged + jobs + emits
-                end;
-                ignore (Nfp_sim.Server.revive ~flush:(not lossless) p.server);
-                incr restarts;
-                wstate.(i) <- `Up;
-                mark_progress i probe (Nfp_sim.Engine.now engine);
-                on_up ())
-          in
-          let bypass_core () =
-            wstate.(i) <- `Bypassed;
-            incr bypasses;
-            Nfp_sim.Server.kill p.server;
-            ignore (p.drain p.server)
-          in
-          match p.nf with
-          | None -> restart_core ~on_up:ignore ()
-          | Some (mid, nfname) ->
-              if breaker_on && consec.(i) > fc.breaker_threshold then begin
-                incr breaker_trips;
-                match fc.breaker_fallback with
-                | Restart | Bypass -> bypass_core ()
-                | Degrade ->
-                    (* Pin the graph to its sequential twin and remove
-                       the hopeless core; no [on_up] ever clears the
-                       degraded flag. *)
-                    degraded.(mid - 1) <- true;
-                    incr degrades;
-                    bypass_core ()
-              end
-              else (
-                match fc.recovery_of nfname with
-                | Restart -> restart_core ~on_up:ignore ()
-                | Bypass -> bypass_core ()
-                | Degrade ->
-                    degraded.(mid - 1) <- true;
-                    incr degrades;
-                    restart_core
-                      ~on_up:(fun () ->
-                        degraded.(mid - 1) <- false;
-                        incr recoveries)
-                      ())
-        in
-        let rec check () =
-          let now = Nfp_sim.Engine.now engine in
-          (* Periodic checkpoint tick: snapshot every live core's NF
-             state and truncate its input log. Rides the watchdog's
-             wake/sleep cycle, so an idle system takes no checkpoints. *)
-          if lossless && now >= !next_ckpt then begin
-            Array.iteri
-              (fun i (Probe p) ->
-                if wstate.(i) = `Up && not (Nfp_sim.Server.is_down p.server) then
-                  p.checkpoint ())
-              probe_arr;
-            next_ckpt := now +. fc.checkpoint_interval_ns
-          end;
-          let pending = ref false in
-          Array.iteri
-            (fun i (Probe p as probe) ->
-              let s = p.server in
-              let pc = Nfp_sim.Server.processed s and st = Nfp_sim.Server.stalled_ns s in
-              let down = Nfp_sim.Server.is_down s in
-              let queued = Nfp_sim.Server.queue_length s > 0 in
-              if pc > prev_processed.(i) || st > prev_stalled.(i) then begin
-                (* Real processed progress (not just stall retries)
-                   closes the breaker window: the core is alive again. *)
-                if pc > prev_processed.(i) then consec.(i) <- 0;
-                mark_progress i probe now
-              end
-              else if not queued then
-                (* An idle core is healthy. Keeping its baseline fresh
-                   makes the deadline clock start when work is queued,
-                   not when it last processed — otherwise a burst
-                   landing on a long-idle core (e.g. merge timeouts
-                   releasing a wedge) trips an instant false kill. *)
-                last_progress.(i) <- now
-              else if Nfp_sim.Server.is_paused s && not down then
-                (* A quiesced migration source is healthy: the elastic
-                   controller froze it deliberately and owns unfreezing
-                   it (commit or abort) — declaring it dead would
-                   restart a core mid-handover. The breaker window
-                   stays open too: a pause is not progress. *)
-                last_progress.(i) <- now
-              else if Nfp_sim.Server.is_busy s && not down then
-                (* A core mid-breath is healthy: its completion event is
-                   already on the calendar. With large batches a single
-                   breath can legally outlast the deadline while the
-                   processed counter stands still — only a *down* core
-                   (crashed or hung, which [interrupt] marks) may have a
-                   frozen heartbeat counted against it. *)
-                last_progress.(i) <- now
-              else if
-                wstate.(i) = `Up
-                && now -. last_progress.(i) > fc.watchdog_deadline_ns
-              then recover i probe;
-              match wstate.(i) with
-              | `Bypassed -> ()
-              | `Restarting -> pending := true
-              | `Up ->
-                  if
-                    Nfp_sim.Server.queue_length s > 0
-                    || (not (Nfp_sim.Server.is_down s)) && Nfp_sim.Server.is_busy s
-                  then pending := true)
-            probe_arr;
-          if !pending then
-            Nfp_sim.Engine.schedule engine ~delay:fc.watchdog_interval_ns check
-          else active := false
-        in
-        fun () ->
-          if not !active then begin
-            active := true;
-            (* Reset the heartbeats on wake-up: idle time must not
-               count against the deadline. The checkpoint clock restarts
-               with the watchdog for the same reason. *)
-            let now = Nfp_sim.Engine.now engine in
-            if lossless then next_ckpt := now +. fc.checkpoint_interval_ns;
-            Array.iteri (fun i p -> mark_progress i p now) probe_arr;
-            Nfp_sim.Engine.schedule engine ~delay:fc.watchdog_interval_ns check
-          end
-  in
-  (* ---------------------------------------------------------------- *)
   (* Admission controller (overload config only). An escalating shed   *)
   (* level L with per-poll hysteresis: while any core's watermark      *)
   (* latch is raised, L climbs one class per poll interval (capped at  *)
   (* the deployment's highest class, which is therefore never shed);   *)
   (* when pressure clears, L relaxes one class per poll. A classified  *)
   (* packet whose chain's admission class is below L is refused at the *)
-  (* NIC boundary — except a deterministic 1-in-K trickle per class,   *)
-  (* so no class ever starves outright.                                *)
+  (* NIC boundary — except a deterministic 1-in-[shed_trickle] trickle *)
+  (* per class, so no class ever starves outright.                     *)
   (* ---------------------------------------------------------------- *)
   let shed_level = ref 0 in
   let last_poll = ref neg_infinity in
@@ -2538,15 +1458,12 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
   let shed_packet =
     match overload with
     | None -> fun _ -> false
-    | Some (oc : overload_config) ->
+    | Some _ ->
         fun mid ->
           let now = Nfp_sim.Engine.now engine in
-          if now -. !last_poll >= oc.pressure_poll_ns then begin
+          if now -. !last_poll >= pressure_poll_ns then begin
             last_poll := now;
-            let pressured =
-              Array.exists (fun (Probe p) -> Nfp_sim.Server.pressured p.server) probe_arr
-            in
-            if pressured then begin
+            if Recovery.pressured recovery then begin
               if !shed_level < max_class then incr shed_level
             end
             else if !shed_level > 0 then decr shed_level
@@ -2555,8 +1472,7 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
           if cls >= !shed_level then false
           else begin
             trickle_seen.(cls) <- trickle_seen.(cls) + 1;
-            if oc.shed_trickle > 0 && trickle_seen.(cls) mod oc.shed_trickle = 0 then
-              false
+            if trickle_seen.(cls) mod shed_trickle = 0 then false
             else begin
               incr shed_total;
               shed_class.(cls) <- shed_class.(cls) + 1;
@@ -2565,99 +1481,44 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
           end
   in
   let health () =
-    let cores =
-      Array.to_list
-        (Array.mapi
-           (fun i (Probe { server = s; _ }) ->
-             let name = Nfp_sim.Server.name s in
+    Elastic.report controller
+      (Recovery.report recovery
+         {
+           Nfp_sim.Harness.no_health with
+           bypassed_packets = !bypassed_packets;
+           deduped = !deduped;
+           drops =
              {
-               Nfp_sim.Harness.core = name;
-               state =
-                 (match wstate.(i) with
-                 | `Bypassed -> "bypassed"
-                 | `Restarting -> "restarting"
-                 | `Up ->
-                     if Nfp_sim.Server.is_down s then "down"
-                     else Option.value (!core_state_override name) ~default:"up");
-               processed = Nfp_sim.Server.processed s;
-               queue = Nfp_sim.Server.queue_length s;
-             })
-           probe_arr)
-    in
-    let crashes = ref 0 and fault_drops = ref 0 and flushed = ref 0 in
-    let rejected_total = ref 0 and pressure_episodes = ref 0 in
-    Array.iter
-      (fun (Probe { server = s; _ }) ->
-        crashes := !crashes + Nfp_sim.Server.crashes s;
-        fault_drops := !fault_drops + Nfp_sim.Server.fault_drops s;
-        flushed := !flushed + Nfp_sim.Server.flushed s;
-        rejected_total := !rejected_total + Nfp_sim.Server.rejected s;
-        pressure_episodes := !pressure_episodes + Nfp_sim.Server.pressure_episodes s)
-      probe_arr;
-    {
-      Nfp_sim.Harness.cores;
-      detections = !detections;
-      crashes = !crashes;
-      restarts = !restarts;
-      bypasses = !bypasses;
-      degrades = !degrades;
-      recoveries = !recoveries;
-      merge_timeouts = !merge_timeouts;
-      bypassed_packets = !bypassed_packets;
-      fault_drops = !fault_drops;
-      flushed = !flushed;
-      checkpoints = !checkpoints;
-      forced_checkpoints = !forced_checkpoints;
-      replayed = !replayed;
-      deduped = !deduped;
-      salvaged = !salvaged;
-      drops =
-        {
-          Nfp_sim.Harness.ingress_rejected = !ring_drops;
-          (* [ring_drops] counts exactly the NIC-boundary offer
-             refusals (the only [offer] sites outside a server are in
-             [inject]); every other refusal a server ring recorded is a
-             backpressure retry event, not a loss. *)
-          internal_rejected = max 0 (!rejected_total - !ring_drops);
-          nf_dropped = !nf_drops;
-          no_match = !unmatched;
-          fault_dropped = !fault_drops;
-          flush_lost = !flushed;
-          merge_timed_out = !merge_timeouts;
-          shed = !shed_total;
-          shed_by_class =
-            (match overload with
-            | None -> []
-            | Some _ -> Array.to_list (Array.mapi (fun c n -> (c, n)) shed_class));
-          degraded = !degraded_packets;
-        };
-      pressure_episodes = !pressure_episodes;
-      breaker_trips = !breaker_trips;
-      backoffs = !backoffs;
-      degrade_switches = !degrade_switches;
-      scale_outs = !scale_outs;
-      scale_ins = !scale_ins;
-      migrations = !migrations;
-      migration_aborts = !migration_aborts;
-      migrated_packets = !migrated_packets;
-      migrating = !migrating_gauge ();
-      links =
-        {
-          Nfp_sim.Harness.link_drops = link_stats.Channel.link_drops;
-          retransmits = link_stats.Channel.retransmits;
-          duplicates_suppressed = link_stats.Channel.duplicates_suppressed;
-          reordered = link_stats.Channel.reordered;
-          partitions = link_stats.Channel.partitions;
-          reroutes = link_stats.Channel.reroutes;
-        };
-      dedup_entries = (if dedup_on then dedup_entries () else 0);
-    }
+               Nfp_sim.Harness.no_drops with
+               ingress_rejected = !ring_drops;
+               nf_dropped = !nf_drops;
+               no_match = !unmatched;
+               merge_timed_out = !merge_timeouts;
+               shed = !shed_total;
+               shed_by_class =
+                 (match overload with
+                 | None -> []
+                 | Some _ -> Array.to_list (Array.mapi (fun c n -> (c, n)) shed_class));
+               degraded = !degraded_packets;
+             };
+           degrade_switches = !degrade_switches;
+           links =
+             {
+               Nfp_sim.Harness.link_drops = link_stats.Channel.link_drops;
+               retransmits = link_stats.Channel.retransmits;
+               duplicates_suppressed = link_stats.Channel.duplicates_suppressed;
+               reordered = link_stats.Channel.reordered;
+               partitions = link_stats.Channel.partitions;
+               reroutes = link_stats.Channel.reroutes;
+             };
+           dedup_entries = (if dedup_on then dedup_entries () else 0);
+         })
   in
   {
     Nfp_sim.Harness.inject =
       (fun ~pid pkt ->
-        wd_kick ();
-        !elastic_kick ();
+        Recovery.kick recovery;
+        Elastic.kick controller;
         let mid = classify_pkt pkt in
         Nfp_sim.Engine.schedule engine
           ~delay:(wire_delay +. Nfp_sim.Cost.ns_of_cycles cost !classify_cycles)
@@ -2668,7 +1529,7 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
                  per class) and gone — deliberately, before it can cost
                  a ring slot or a core cycle. *)
               ()
-            else if degraded.(mid - 1) then (
+            else if Recovery.degraded recovery mid then (
               (* Sequential fallback: tag the packet as the
                  classifier would and run the twin chain. *)
               Packet.stamp pkt ~mid ~pid ~version:1;
@@ -2680,10 +1541,6 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
             else
               let ctx = Context.create ~pid ~mid pkt in
               if not (Nfp_sim.Server.offer classifier ctx) then incr ring_drops));
-    ring_drops = (fun () -> !ring_drops);
-    nf_drops = (fun () -> !nf_drops);
-    unmatched = (fun () -> !unmatched);
-    shed = (fun () -> !shed_total);
     classifier =
       (fun () ->
         {

@@ -116,10 +116,7 @@ type health = {
   bypasses : int;  (* cores removed from the graph by the Bypass policy *)
   degrades : int;  (* graphs switched to their sequential fallback *)
   recoveries : int;  (* degraded graphs switched back to parallel *)
-  merge_timeouts : int;  (* merges force-completed without a failed branch *)
   bypassed_packets : int;  (* packets that skipped a bypassed NF *)
-  fault_drops : int;  (* jobs vanished by injected Drop faults *)
-  flushed : int;  (* in-flight jobs lost to crashes and restart flushes *)
   checkpoints : int;  (* NF state snapshots taken (periodic + forced) *)
   forced_checkpoints : int;  (* checkpoints forced by input-log overflow *)
   replayed : int;  (* packets re-processed from an input log, output-suppressed *)
@@ -155,10 +152,7 @@ let no_health =
     bypasses = 0;
     degrades = 0;
     recoveries = 0;
-    merge_timeouts = 0;
     bypassed_packets = 0;
-    fault_drops = 0;
-    flushed = 0;
     checkpoints = 0;
     forced_checkpoints = 0;
     replayed = 0;
@@ -190,10 +184,7 @@ let add_health a b =
     bypasses = a.bypasses + b.bypasses;
     degrades = a.degrades + b.degrades;
     recoveries = a.recoveries + b.recoveries;
-    merge_timeouts = a.merge_timeouts + b.merge_timeouts;
     bypassed_packets = a.bypassed_packets + b.bypassed_packets;
-    fault_drops = a.fault_drops + b.fault_drops;
-    flushed = a.flushed + b.flushed;
     checkpoints = a.checkpoints + b.checkpoints;
     forced_checkpoints = a.forced_checkpoints + b.forced_checkpoints;
     replayed = a.replayed + b.replayed;
@@ -216,10 +207,6 @@ let add_health a b =
 
 type system = {
   inject : pid:int64 -> Nfp_packet.Packet.t -> unit;
-  ring_drops : unit -> int;
-  nf_drops : unit -> int;
-  unmatched : unit -> int;
-  shed : unit -> int;
   classifier : unit -> classifier_counters;
   health : unit -> health;
 }
@@ -304,10 +291,9 @@ let run ~make ~gen ~arrivals ~packets ?warmup ?(seed = 42L) ?stop () =
       in
       slices ());
   let duration = Engine.now engine in
-  let ring_drops = system.ring_drops () in
-  let nf_drops = system.nf_drops () in
-  let unmatched = system.unmatched () in
-  let shed = system.shed () in
+  let health = system.health () in
+  let ring_drops = health.drops.ingress_rejected and nf_drops = health.drops.nf_dropped in
+  let unmatched = health.drops.no_match and shed = health.drops.shed in
   (* Accounting must close: every offered packet is either completed
      (first delivery), counted by exactly one drop counter, shed by the
      admission controller, or still in the system / lost to faults
@@ -330,7 +316,7 @@ let run ~make ~gen ~arrivals ~packets ?warmup ?(seed = 42L) ?stop () =
     unmatched;
     shed;
     in_flight;
-    health = system.health ();
+    health;
     duration_ns = duration;
     achieved_mpps =
       (if duration > 0.0 then float_of_int !delivered /. duration *. 1000.0 else 0.0);
@@ -389,7 +375,7 @@ let max_lossless_mpps ~make ~gen ~packets ?(lo = 0.01) ~hi ?(iterations = 12) ?d
        first one instead of simulating the remaining packets. *)
     let r =
       run ~make ~gen ~arrivals:(Uniform rate) ~packets ~warmup:0
-        ~stop:(fun s -> s.ring_drops () > 0)
+        ~stop:(fun s -> (s.health ()).drops.ingress_rejected > 0)
         ()
     in
     r.ring_drops = 0

@@ -89,10 +89,7 @@ type health = {
   bypasses : int;  (** cores removed from the graph by the Bypass policy *)
   degrades : int;  (** graphs switched to their sequential fallback *)
   recoveries : int;  (** degraded graphs switched back to parallel *)
-  merge_timeouts : int;  (** merges force-completed without a failed branch *)
   bypassed_packets : int;  (** packets that skipped a bypassed NF *)
-  fault_drops : int;  (** jobs vanished by injected Drop faults *)
-  flushed : int;  (** in-flight jobs lost to crashes and restart flushes *)
   checkpoints : int;  (** NF state snapshots taken (periodic + forced) *)
   forced_checkpoints : int;
       (** checkpoints forced early by input-log overflow — a full log is
@@ -107,10 +104,7 @@ type health = {
   salvaged : int;
       (** in-flight jobs of a crashed core re-admitted by a lossless
           restart instead of being flushed *)
-  drops : drops;
-      (** the unified drop taxonomy (see {!drops}); subsumes
-          [fault_drops], [flushed] and [merge_timeouts] above, which
-          remain for compatibility *)
+  drops : drops;  (** the unified drop taxonomy (see {!drops}) *)
   pressure_episodes : int;
       (** ring watermark pressure onsets summed across all cores *)
   breaker_trips : int;
@@ -155,22 +149,13 @@ val add_health : health -> health -> health
 type system = {
   inject : pid:int64 -> Nfp_packet.Packet.t -> unit;
       (** deliver one packet to the system's NIC at the current time *)
-  ring_drops : unit -> int;  (** packets lost to full rings *)
-  nf_drops : unit -> int;  (** packets intentionally dropped by NFs *)
-  unmatched : unit -> int;
-      (** packets no classification-table entry claimed — distinct from
-          NF drops: an unmatched packet never entered a service graph *)
-  shed : unit -> int;
-      (** packets refused by the admission controller under pressure —
-          deliberate, priority-ordered refusals, distinct from
-          [ring_drops] (the NIC ran out of buffer) *)
   classifier : unit -> classifier_counters;
       (** current classifier cache counters (see
           {!classifier_counters}) *)
   health : unit -> health;
-      (** current watchdog view and fault/recovery counters (see
-          {!health}); {!no_health} when the system has no fault
-          machinery *)
+      (** current watchdog view, drop taxonomy and fault/recovery
+          counters (see {!health}); the one drop ledger every caller
+          reads *)
 }
 
 type arrivals =

@@ -77,8 +77,8 @@ let observe ~make ~gen ~arrivals ~packets =
              (List.map string_of_int
                 [
                   h.detections; h.crashes; h.restarts; h.bypasses; h.degrades;
-                  h.recoveries; h.merge_timeouts; h.bypassed_packets; h.fault_drops;
-                  h.flushed; h.checkpoints; h.forced_checkpoints; h.replayed;
+                  h.recoveries; d.merge_timed_out; h.bypassed_packets; d.fault_dropped;
+                  d.flush_lost; h.checkpoints; h.forced_checkpoints; h.replayed;
                   h.deduped; h.salvaged; h.pressure_episodes; h.breaker_trips;
                   h.backoffs; h.degrade_switches; h.scale_outs; h.scale_ins;
                   h.migrations; h.migration_aborts; h.migrated_packets; h.migrating;

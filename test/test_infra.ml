@@ -383,7 +383,7 @@ let system_tests =
         Nfp_sim.Engine.run engine;
         check Alcotest.int "nothing delivered" 0 !delivered;
         check Alcotest.int "monitor still processed it" 1 (mon_stats.total_packets ());
-        check Alcotest.int "counted as an NF drop" 1 (system.nf_drops ()));
+        check Alcotest.int "counted as an NF drop" 1 (system.health ()).drops.nf_dropped);
     Alcotest.test_case "a crashing solo NF is contained too" `Quick (fun () ->
         let profile_of _ = Nfp_nf.Registry.profile_of "Monitor" in
         let plan =
@@ -404,7 +404,7 @@ let system_tests =
         in
         system.Nfp_sim.Harness.inject ~pid:1L (pkt ());
         Nfp_sim.Engine.run engine;
-        check Alcotest.int "dropped" 1 (system.nf_drops ()));
+        check Alcotest.int "dropped" 1 (system.health ()).drops.nf_dropped);
     Alcotest.test_case "core stats sampler reports every core" `Quick (fun () ->
         let o = compile_ok ns_text in
         let plan = plan_of_output o in
@@ -619,7 +619,7 @@ let multi_tests =
         check Alcotest.int "web packets delivered" 10 !delivered;
         check Alcotest.int "monitor saw only web traffic" 10 (mon_stats.total_packets ());
         check Alcotest.int "firewall dropped the rest" 5 (fw_stats.dropped ());
-        check Alcotest.int "counted as nf drops" 5 (system.nf_drops ()));
+        check Alcotest.int "counted as nf drops" 5 (system.health ()).drops.nf_dropped);
     Alcotest.test_case "first matching CT entry wins" `Quick (fun () ->
         let plan_of text =
           match Compiler.compile_text text with
@@ -658,8 +658,8 @@ let multi_tests =
         in
         system.Nfp_sim.Harness.inject ~pid:1L (pkt ()) (* TCP: no match *);
         Nfp_sim.Engine.run engine;
-        check Alcotest.int "discarded" 1 (system.unmatched ());
-        check Alcotest.int "not an NF drop" 0 (system.nf_drops ()));
+        check Alcotest.int "discarded" 1 (system.health ()).drops.no_match;
+        check Alcotest.int "not an NF drop" 0 (system.health ()).drops.nf_dropped);
     Alcotest.test_case "empty classification table rejected" `Quick (fun () ->
         let engine = Nfp_sim.Engine.create () in
         Alcotest.check_raises "empty" (Invalid_argument "System.make_multi: no service graphs")
@@ -794,7 +794,7 @@ let cluster_tests =
         in
         system.Nfp_sim.Harness.inject ~pid:1L (pkt ());
         Nfp_sim.Engine.run engine;
-        check Alcotest.int "second server's drop counted" 1 (system.nf_drops ()));
+        check Alcotest.int "second server's drop counted" 1 (system.health ()).drops.nf_dropped);
     Alcotest.test_case "empty cluster rejected" `Quick (fun () ->
         let engine = Nfp_sim.Engine.create () in
         Alcotest.check_raises "empty" (Invalid_argument "Cluster.make: no segments")
@@ -835,6 +835,15 @@ let accounting_closes (r : Nfp_sim.Harness.result) =
   check Alcotest.int "accounting closes" r.offered
     (r.completed + r.ring_drops + r.nf_drops + r.unmatched + r.in_flight)
 
+(* Build the ns chain with [fault] (and [overload]) and expect exactly
+   [msg] as the Invalid_argument. *)
+let rejects_fault msg ?overload fault =
+  let plan = plan_of_output (compile_ok ns_text) in
+  Alcotest.check_raises msg (Invalid_argument msg) (fun () ->
+      ignore
+        (Nfp_infra.System.make ~fault ?overload ~plan ~nfs:(instances ns_bindings)
+           (Nfp_sim.Engine.create ()) ~output:(fun ~pid:_ _ -> ())))
+
 let fault_tests =
   [
     Alcotest.test_case "crash is detected and Restart restores forwarding" `Quick
@@ -860,7 +869,7 @@ let fault_tests =
            lossless: the core restores its last snapshot, replays its
            input log and re-admits the reclaimed work — nothing is
            flushed and every offered packet completes. *)
-        check Alcotest.int "lossless restart flushed nothing" 0 h.flushed;
+        check Alcotest.int "lossless restart flushed nothing" 0 h.drops.flush_lost;
         check Alcotest.bool "checkpoints were taken" true (h.checkpoints > 0);
         check Alcotest.bool "the restore replayed logged packets" true (h.replayed > 0);
         (* The crash hits at packet ~250 of 2000; deliveries of the last
@@ -883,7 +892,7 @@ let fault_tests =
         let h = r.health in
         check Alcotest.int "no checkpoints" 0 h.checkpoints;
         check Alcotest.int "no replay" 0 h.replayed;
-        check Alcotest.bool "outage lost packets" true (h.flushed > 0);
+        check Alcotest.bool "outage lost packets" true (h.drops.flush_lost > 0);
         check Alcotest.bool "late packets delivered after restart" true
           (List.exists (fun pid -> pid > 1500L) pids);
         check Alcotest.bool "most traffic survived the outage" true
@@ -965,7 +974,7 @@ let fault_tests =
         in
         let r, _ = fault_run ~text:par_text ~bindings:par_bindings ~fault () in
         let h = r.health in
-        check Alcotest.bool "timeouts fired" true (h.merge_timeouts > 0);
+        check Alcotest.bool "timeouts fired" true (h.drops.merge_timed_out > 0);
         check Alcotest.bool "rescued merges bound the tail" true
           (Nfp_algo.Stats.max_value r.latency < 2_000_000.0);
         check Alcotest.bool "most traffic survived" true
@@ -1026,10 +1035,10 @@ let fault_tests =
         in
         let r, _ = fault_run ~fault () in
         let h = r.health in
-        check Alcotest.bool "drops happened" true (h.fault_drops > 0);
+        check Alcotest.bool "drops happened" true (h.drops.fault_dropped > 0);
         (* Every missing packet is a counted fault drop (the chain tail
            NF loses them after processing, nothing else drops). *)
-        check Alcotest.int "losses are exactly the injected drops" h.fault_drops
+        check Alcotest.int "losses are exactly the injected drops" h.drops.fault_dropped
           (r.offered - r.completed);
         accounting_closes r);
     Alcotest.test_case "health is observable without any faults armed" `Quick (fun () ->
@@ -1049,7 +1058,7 @@ let fault_tests =
              (fun (c : Nfp_sim.Harness.core_health) -> c.state = "up")
              h.cores);
         check Alcotest.int "no events" 0
-          (h.detections + h.crashes + h.restarts + h.bypasses + h.flushed));
+          (h.detections + h.crashes + h.restarts + h.bypasses + h.drops.flush_lost));
     Alcotest.test_case "fault config on the interpretive path is rejected" `Quick
       (fun () ->
         let o = compile_ok ns_text in
@@ -1063,6 +1072,22 @@ let fault_tests =
               (Nfp_infra.System.make ~path:`Interpretive
                  ~fault:Nfp_infra.System.default_fault_config ~plan
                  ~nfs:(instances ns_bindings) engine ~output:(fun ~pid:_ _ -> ()))));
+    Alcotest.test_case "zero watchdog interval and negative restart are rejected" `Quick
+      (fun () ->
+        (* A zero interval reschedules the watchdog at the same instant
+           forever; a negative delay fails mid-run in [Engine.schedule].
+           Both must fail when the system is built. *)
+        let fc = Nfp_infra.System.default_fault_config in
+        rejects_fault "System.make_multi: fault watchdog_interval_ns must be positive"
+          { fc with watchdog_interval_ns = 0.0 };
+        rejects_fault "System.make_multi: fault restart_ns must be >= 0"
+          { fc with restart_ns = -1.0 });
+    Alcotest.test_case "two misconfigurations are reported in one error" `Quick (fun () ->
+        rejects_fault
+          "System.make_multi: fault watchdog_interval_ns must be positive; overload \
+           watermarks must satisfy 0 <= low < high <= ring_capacity"
+          ~overload:{ Nfp_infra.System.default_overload_config with low_watermark = 200 }
+          { Nfp_infra.System.default_fault_config with watchdog_interval_ns = -5.0 });
   ]
 
 let () =

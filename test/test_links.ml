@@ -483,7 +483,7 @@ let differential_tests =
         in
         check Alcotest.int "zero delivered-packet loss" rr.offered rr.completed;
         check Alcotest.int "nothing left in flight" 0 rr.in_flight;
-        check Alcotest.int "nothing flushed" 0 rr.health.flushed);
+        check Alcotest.int "nothing flushed" 0 rr.health.drops.flush_lost);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -554,12 +554,7 @@ let regression_tests =
           { (links [ F.loss ~probability:0.04 "*" ]) with reliable = false }
         in
         let tight =
-          {
-            Sys.default_overload_config with
-            high_watermark = 32;
-            low_watermark = 8;
-            degrade_enabled = false;
-          }
+          { Sys.high_watermark = 32; low_watermark = 8; degrade_enabled = false }
         in
         let make engine ~output =
           Sys.make_multi ~links:lc ~overload:tight ~graphs engine ~output
@@ -596,7 +591,7 @@ let regression_tests =
           observe ~links:lc ~fault ~plan ~bindings:par_bindings ~arrivals:steady
             ~packets:1500 ()
         in
-        check Alcotest.bool "merges timed out" true (rr.health.merge_timeouts >= 1);
+        check Alcotest.bool "merges timed out" true (rr.health.drops.merge_timed_out >= 1);
         check Alcotest.bool "late retransmissions were deduped" true
           (rr.health.deduped >= 1);
         check Alcotest.int "every packet completed exactly once" rr.offered
@@ -667,7 +662,7 @@ let property_tests =
                ~bindings:tag_bindings ~arrivals:steady ~packets:2000 ()
            in
            rb.ring_drops = 0 && rr.ring_drops = 0
-           && rr.health.flushed = 0
+           && rr.health.drops.flush_lost = 0
            && rr.in_flight = 0
            && baseline = lossy));
   ]

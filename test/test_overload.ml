@@ -241,12 +241,7 @@ let rig_run ?overload ?fault ~arrivals ~packets () =
 
 (* Tight watermarks, degrade off: admission behaviour in isolation. *)
 let tight =
-  {
-    Nfp_infra.System.default_overload_config with
-    high_watermark = 32;
-    low_watermark = 8;
-    degrade_enabled = false;
-  }
+  { Nfp_infra.System.high_watermark = 32; low_watermark = 8; degrade_enabled = false }
 
 let shed_of_class (d : Nfp_sim.Harness.drops) c =
   match List.assoc_opt c d.shed_by_class with Some n -> n | None -> 0
@@ -358,12 +353,7 @@ let ids_make ~degrade_enabled engine ~output =
   in
   let nf, _ = Nfp_nf.Ids.create ~name:"ids" () in
   let overload =
-    {
-      Nfp_infra.System.default_overload_config with
-      high_watermark = 32;
-      low_watermark = 8;
-      degrade_enabled;
-    }
+    { Nfp_infra.System.high_watermark = 32; low_watermark = 8; degrade_enabled }
   in
   Nfp_infra.System.make ~overload ~plan ~nfs:(fun _ -> nf) engine ~output
 

@@ -338,7 +338,7 @@ let fault_tests =
         in
         check Alcotest.int "crash took effect" 1 rr.health.crashes;
         check Alcotest.bool "replay happened" true (rr.health.replayed > 0);
-        check Alcotest.int "nothing flushed" 0 rr.health.flushed);
+        check Alcotest.int "nothing flushed" 0 rr.health.drops.flush_lost);
     Alcotest.test_case "replica 0 and a shard crash together" `Quick (fun () ->
         let fault =
           lossless_fault
@@ -373,7 +373,7 @@ let fault_tests =
         in
         check Alcotest.bool "storm produced crashes" true (r.health.crashes > 0);
         check Alcotest.int "no packet wedged in flight" 0 r.in_flight;
-        check Alcotest.int "nothing flushed" 0 r.health.flushed;
+        check Alcotest.int "nothing flushed" 0 r.health.drops.flush_lost;
         check Alcotest.int "every packet in exactly one bucket" r.offered
           (r.completed + r.ring_drops + r.nf_drops + r.unmatched);
         let mon = find_rr report "mon" in
@@ -470,7 +470,7 @@ let property_tests =
                        ~config:(replicated replicas) ~plan ~bindings ~rate:1.0 ~packets:1200 ()
                    in
                    rb.ring_drops = 0 && rr.ring_drops = 0
-                   && rr.health.flushed = 0
+                   && rr.health.drops.flush_lost = 0
                    && rr.in_flight = 0
                    && baseline = sharded)));
   ]
