@@ -44,70 +44,20 @@ let tuple5 sip dip sport dport proto =
   Int64.to_int (tuple5_64 sip dip sport dport proto) land max_int
 
 (* [mix2_int a b] = [Int64.to_int (mix64 (mix64 a' ^ b'))] for the
-   packed key limbs [a]/[b] — the value [tuple5_64] computes — without
-   touching Int64: on a non-flambda compiler the Int64 form boxes every
-   intermediate, and the microflow cache hashes on the classifier's
-   per-packet hit path. Same limb technique as [Prng.step]: 64-bit
-   multiplies as 16-bit half-products, cross terms mod 2^32 (sound
-   because 2^32 divides native wrap-around's 2^63). *)
-let mask32 = 0xffffffff
-
-(* SplitMix64 finalizer constants, split into 32-bit halves. *)
-let c1_hi = 0xbf58476d
-let c1_lo = 0x1ce4e5b9
-let c2_hi = 0x94d049bb
-let c2_lo = 0x133111eb
-
+   packed key limbs [a]/[b] — the value [tuple5_64] computes — with
+   [mix64] written out, so every intermediate is a let-bound [int64]
+   inside one function: the compiler keeps those unboxed, and only a
+   call boundary would box one. The microflow cache hashes with this on
+   the classifier's per-packet hit path. *)
 let mix2_int a b =
-  (* mix64 of the [a] limbs *)
-  let hi = (a lsr 32) land mask32 and lo = a land mask32 in
-  let zl = lo lxor ((lo lsr 30) lor ((hi lsl 2) land mask32)) in
-  let zh = hi lxor (hi lsr 30) in
-  let x0 = zl land 0xffff and x1 = zl lsr 16 in
-  let pm = (x0 * 0x1ce4) + (x1 * 0xe5b9) in
-  let tl = (x0 * 0xe5b9) + ((pm land 0xffff) lsl 16) in
-  let mh =
-    ((pm lsr 16) + (x1 * 0x1ce4) + (tl lsr 32) + (zl * c1_hi) + (zh * c1_lo))
-    land mask32
-  in
-  let ml = tl land mask32 in
-  let zl = ml lxor ((ml lsr 27) lor ((mh lsl 5) land mask32)) in
-  let zh = mh lxor (mh lsr 27) in
-  let x0 = zl land 0xffff and x1 = zl lsr 16 in
-  let pm = (x0 * 0x1331) + (x1 * 0x11eb) in
-  let tl = (x0 * 0x11eb) + ((pm land 0xffff) lsl 16) in
-  let mh =
-    ((pm lsr 16) + (x1 * 0x1331) + (tl lsr 32) + (zl * c2_hi) + (zh * c2_lo))
-    land mask32
-  in
-  let ml = tl land mask32 in
-  let hi = mh lxor (mh lsr 31) in
-  let lo = ml lxor ((ml lsr 31) lor ((mh lsl 1) land mask32)) in
-  (* xor in the [b] limbs, then the second mix64 *)
-  let hi = hi lxor ((b lsr 32) land mask32) and lo = lo lxor (b land mask32) in
-  let zl = lo lxor ((lo lsr 30) lor ((hi lsl 2) land mask32)) in
-  let zh = hi lxor (hi lsr 30) in
-  let x0 = zl land 0xffff and x1 = zl lsr 16 in
-  let pm = (x0 * 0x1ce4) + (x1 * 0xe5b9) in
-  let tl = (x0 * 0xe5b9) + ((pm land 0xffff) lsl 16) in
-  let mh =
-    ((pm lsr 16) + (x1 * 0x1ce4) + (tl lsr 32) + (zl * c1_hi) + (zh * c1_lo))
-    land mask32
-  in
-  let ml = tl land mask32 in
-  let zl = ml lxor ((ml lsr 27) lor ((mh lsl 5) land mask32)) in
-  let zh = mh lxor (mh lsr 27) in
-  let x0 = zl land 0xffff and x1 = zl lsr 16 in
-  let pm = (x0 * 0x1331) + (x1 * 0x11eb) in
-  let tl = (x0 * 0x11eb) + ((pm land 0xffff) lsl 16) in
-  let mh =
-    ((pm lsr 16) + (x1 * 0x1331) + (tl lsr 32) + (zl * c2_hi) + (zh * c2_lo))
-    land mask32
-  in
-  let ml = tl land mask32 in
-  let hi = mh lxor (mh lsr 31) in
-  let lo = ml lxor ((ml lsr 31) lor ((mh lsl 1) land mask32)) in
-  ((hi land 0x7fffffff) lsl 32) lor lo
+  let z = Int64.of_int a in
+  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xbf58476d1ce4e5b9L in
+  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94d049bb133111ebL in
+  let z = Int64.logxor z (Int64.shift_right_logical z 31) in
+  let z = Int64.logxor z (Int64.of_int b) in
+  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xbf58476d1ce4e5b9L in
+  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94d049bb133111ebL in
+  Int64.to_int (Int64.logxor z (Int64.shift_right_logical z 31))
 
 (* RSS shard selection draws from its own hash stream: the key limbs
    are offset by fixed seeds before entering the SplitMix64 finaliser

@@ -45,11 +45,10 @@ val mix2_int : int -> int -> int
 (** [mix2_int a b] is the low 63 bits of
     [mix64 (Int64.logxor (mix64 (Int64.of_int a)) (Int64.of_int b))] —
     i.e. [Int64.to_int (tuple5_64 ...)] given the already-packed key
-    limbs [a] = {!pack_a} and [b] = {!pack_b} — computed entirely in
-    native ints. Bit-identical to the Int64 form (test_algo proves it
-    exhaustively against {!tuple5_64}); exists because the Int64 form
-    boxes every intermediate on a non-flambda compiler and the
-    microflow cache hashes on the classifier's per-packet hit path. *)
+    limbs [a] = {!pack_a} and [b] = {!pack_b} — computed from native
+    ints without allocating (test_algo checks it against
+    {!tuple5_64}). The microflow cache hashes with it on the
+    classifier's per-packet hit path. *)
 
 val rss_seed_a : int
 val rss_seed_b : int

@@ -25,9 +25,13 @@ val clear : 'a t -> unit
 (** Min-heap specialized to [(time, seq)] keys held in parallel unboxed
     arrays — the discrete-event simulator's queue. Ordering is by time,
     ties broken by the (monotonic) sequence number, with the comparison
-    inlined rather than routed through a closure. *)
+    inlined rather than routed through a closure. Each element carries
+    an [int] payload next to its data. *)
 module Timed : sig
   type 'a t
+
+  type clock = { mutable now : float }
+  (** A flat float cell that {!pop_exn} advances to the popped key. *)
 
   val create : unit -> 'a t
 
@@ -35,14 +39,20 @@ module Timed : sig
 
   val is_empty : 'a t -> bool
 
-  val push : 'a t -> time:float -> seq:int -> 'a -> unit
+  val push : 'a t -> time:float -> seq:int -> 'a -> int -> unit
+  (** [push h ~time ~seq x payload]. *)
 
-  val min_time : 'a t -> float
-  (** Key of the minimum element; [infinity] when empty. *)
+  val due : 'a t -> float -> bool
+  (** [due h limit]: the heap is non-empty and its minimum key is at
+      most [limit]. *)
 
-  val pop_exn : 'a t -> 'a
-  (** Remove and return the payload of the minimum element — a combined
-      peek-and-pop that allocates nothing.
+  val min_payload : 'a t -> int
+  (** Payload of the minimum element.
+      @raise Invalid_argument when empty. *)
+
+  val pop_exn : 'a t -> clock -> 'a
+  (** Remove the minimum element, set [clock.now] to its key and return
+      its data — a combined peek-and-pop that allocates nothing.
       @raise Invalid_argument when empty. *)
 
   val clear : 'a t -> unit

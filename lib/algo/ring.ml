@@ -108,7 +108,7 @@ let dequeue t = if t.size = 0 then None else Some (dequeue_exn t)
 let dequeue_into t dst pos max =
   if pos < 0 || pos > Array.length dst then
     invalid_arg "Ring.dequeue_into: destination position out of range";
-  let n = min (min t.size max) (Array.length dst - pos) in
+  let n = Int.min (Int.min t.size max) (Array.length dst - pos) in
   let data = t.data in
   let head = ref t.head in
   for i = 0 to n - 1 do
@@ -128,7 +128,7 @@ let dequeue_into t dst pos max =
 let enqueue_burst t src pos len =
   if pos < 0 || len < 0 || pos + len > Array.length src then
     invalid_arg "Ring.enqueue_burst: range overruns source";
-  let accepted = min len (t.capacity - t.size) in
+  let accepted = Int.min len (t.capacity - t.size) in
   if accepted > 0 then begin
     if Array.length t.data = 0 then t.data <- Array.make t.capacity src.(pos);
     for i = 0 to accepted - 1 do

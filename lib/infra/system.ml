@@ -170,6 +170,18 @@ type cat_entry = {
   mutable c_arrived_mask : int;  (* branches seen, for merger-timeout completion *)
 }
 
+(* A compiled merger's accumulations, keyed by (MID, merge id, PID) with
+   typed equality and hash: the generic [Hashtbl] would send each branch
+   arrival through the polymorphic [caml_hash] and [compare_val]. *)
+module Accumulations = Hashtbl.Make (struct
+  type t = int * int * int64
+
+  let equal (m1, i1, p1) (m2, i2, p2) = m1 = m2 && i1 = i2 && Int64.equal p1 p2
+
+  let hash (mid, id, pid) =
+    Nfp_algo.Hashing.combine (Nfp_algo.Hashing.combine mid id) (Int64.to_int pid)
+end)
+
 (* First branch of [spec] the deliverer satisfies, mirroring the
    interpretive path's [branch_of] — resolved once at compile time. *)
 let branch_index (spec : Tables.merge_spec) (deliverer : Tables.deliverer) =
@@ -902,41 +914,40 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
             true
           end
           else Channel.offer (if via < 0 then s.ports.(r) else None) s.replicas.(r) ctx
+        and send ctx = function
+          | S_nf slot -> send_nf slot ~via:(-1) ctx
+          | S_merge { merge; branch; nil } ->
+              route_merge { d_ctx = ctx; d_merge = merge; d_branch = branch; d_nil = nil }
+          | S_deliver v -> (
+              match Context.get ctx v with
+              | None -> true
+              | Some pkt -> (
+                  match delivery_channel with
+                  | Some ch -> Channel.send ch (v, Context.pid ctx, pkt)
+                  | None ->
+                      deliver_out ~version:v ~pid:(Context.pid ctx) pkt;
+                      true))
         (* Walk a compiled send array with a cursor; the cursor survives
            backpressure retries, so each target is offered in order
-           exactly once. *)
+           exactly once. A single send needs no cursor: a retry offers
+           the same target again. *)
         and exec_sends sends ctx =
-          let n = Array.length sends in
-          if n = 0 then const_true
-          else begin
-            let cursor = ref 0 in
-            fun () ->
-              let rec go i =
-                if i >= n then true
-                else
-                  let ok =
-                    match sends.(i) with
-                    | S_nf slot -> send_nf slot ~via:(-1) ctx
-                    | S_merge { merge; branch; nil } ->
-                        route_merge { d_ctx = ctx; d_merge = merge; d_branch = branch; d_nil = nil }
-                    | S_deliver v -> (
-                        match Context.get ctx v with
-                        | None -> true
-                        | Some pkt -> (
-                            match delivery_channel with
-                            | Some ch -> Channel.send ch (v, Context.pid ctx, pkt)
-                            | None ->
-                                deliver_out ~version:v ~pid:(Context.pid ctx) pkt;
-                                true))
-                  in
-                  if ok then go (i + 1)
+          match sends with
+          | [||] -> const_true
+          | [| only |] -> fun () -> send ctx only
+          | _ ->
+              let n = Array.length sends in
+              let cursor = ref 0 in
+              fun () ->
+                let rec go i =
+                  if i >= n then true
+                  else if send ctx sends.(i) then go (i + 1)
                   else begin
                     cursor := i;
                     false
                   end
-              in
-              go !cursor
-          end
+                in
+                go !cursor
         and exec_prog prog ctx =
           let copies = prog.p_copies in
           for i = 0 to Array.length copies - 1 do
@@ -1192,7 +1203,7 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
           end
         in
         let make_merger index =
-          let at : (int * int * int64, cat_entry) Hashtbl.t = Hashtbl.create 1024 in
+          let at : cat_entry Accumulations.t = Accumulations.create 1024 in
           (* Completed-merge memory (armed runs only): a branch arriving
              after its merge already completed — a straggler emitted by
              a salvaged core after a merge timeout force-completed the
@@ -1207,7 +1218,7 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
             let m = d.d_merge in
             Nfp_sim.Cost.ns_of_cycles cost
               (cost.ring_dequeue + cost.merge_delivery
-              + ((m.m_completion_static + dyn_cycles m.m_next d.d_ctx) / max 1 m.m_expected)
+              + ((m.m_completion_static + dyn_cycles m.m_next d.d_ctx) / Int.max 1 m.m_expected)
               )
           in
           let execute (d : cdelivery) =
@@ -1219,20 +1230,20 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
             end
             else begin
               let entry =
-                match Hashtbl.find_opt at key with
+                match Accumulations.find_opt at key with
                 | Some e -> e
                 | None ->
                     let e = { c_received = 0; c_nil_mask = 0; c_arrived_mask = 0 } in
-                    Hashtbl.replace at key e;
+                    Accumulations.replace at key e;
                     (* Arm the straggler timeout when this accumulation
                        opens: if a failed branch never shows up, merge
                        what did arrive rather than wedge the packet (the
                        drop policy still applies to arrived nils). *)
                     if merge_timeout_ns > 0.0 then
                       Nfp_sim.Engine.schedule engine ~delay:merge_timeout_ns (fun () ->
-                          match Hashtbl.find_opt at key with
+                          match Accumulations.find_opt at key with
                           | Some e' when e' == e ->
-                              Hashtbl.remove at key;
+                              Accumulations.remove at key;
                               if dedup_on then Dedup.add done_tbl key;
                               incr merge_timeouts;
                               let missing =
@@ -1251,7 +1262,7 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
                 entry.c_nil_mask <- entry.c_nil_mask lor (1 lsl d.d_branch);
               if entry.c_received < m.m_expected then const_true
               else begin
-                Hashtbl.remove at key;
+                Accumulations.remove at key;
                 if dedup_on then Dedup.add done_tbl key;
                 complete m d.d_ctx ~nil_mask:entry.c_nil_mask ~skip_mask:entry.c_nil_mask
               end
@@ -1468,7 +1479,7 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
             end
             else if !shed_level > 0 then decr shed_level
           end;
-          let cls = max 0 (min max_class (plan_of_mid mid).Tables.priority) in
+          let cls = Int.max 0 (Int.min max_class (plan_of_mid mid).Tables.priority) in
           if cls >= !shed_level then false
           else begin
             trickle_seen.(cls) <- trickle_seen.(cls) + 1;

@@ -76,17 +76,81 @@ let merge states =
     states;
   State (!passed, !dropped)
 
-let rec create ?(name = "fw") ?(extra_cycles = 0) ?acl () =
-  let acl = match acl with Some a -> a | None -> default_acl 100 in
+(* The ACL compiled to flat int columns, one entry per rule in order:
+   unsigned address masks and masked values (mask 0 matches any
+   address), inclusive port bounds, and the protocol with -1 for "any".
+   A packet's header fields are read once and the columns scanned for
+   the first match: [Packet.sip]/[dip] would box an int32 per rule. *)
+type compiled = {
+  sip_mask : int array;
+  sip_value : int array;
+  dip_mask : int array;
+  dip_value : int array;
+  sport_lo : int array;
+  sport_hi : int array;
+  dport_lo : int array;
+  dport_hi : int array;
+  proto_of : int array;
+  permit : bool array;
+}
+
+let compile acl =
+  let rules = Array.of_list acl in
+  let col f = Array.map f rules in
+  let mask len = if len = 0 then 0 else (0xffffffff lsl (32 - len)) land 0xffffffff in
+  let value (prefix, len) = Int32.to_int prefix land mask len in
+  {
+    sip_mask = col (fun r -> mask (snd r.sip_prefix));
+    sip_value = col (fun r -> value r.sip_prefix);
+    dip_mask = col (fun r -> mask (snd r.dip_prefix));
+    dip_value = col (fun r -> value r.dip_prefix);
+    sport_lo = col (fun r -> fst r.sport_range);
+    sport_hi = col (fun r -> snd r.sport_range);
+    dport_lo = col (fun r -> fst r.dport_range);
+    dport_hi = col (fun r -> snd r.dport_range);
+    proto_of = col (fun r -> match r.proto with None -> -1 | Some p -> p);
+    permit = col (fun r -> r.permit);
+  }
+
+(* Index of the first rule matching the packet, or -1. *)
+let first_match c pkt =
+  let sip = Packet.sip_int pkt and dip = Packet.dip_int pkt in
+  let sport = Packet.sport pkt and dport = Packet.dport pkt in
+  let proto = Packet.proto pkt in
+  let n = Array.length c.permit in
+  let i = ref 0 and found = ref (-1) in
+  while !found < 0 && !i < n do
+    let k = !i in
+    if
+      sip land c.sip_mask.(k) = c.sip_value.(k)
+      && dip land c.dip_mask.(k) = c.dip_value.(k)
+      && sport >= c.sport_lo.(k)
+      && sport <= c.sport_hi.(k)
+      && dport >= c.dport_lo.(k)
+      && dport <= c.dport_hi.(k)
+      && (c.proto_of.(k) < 0 || c.proto_of.(k) = proto)
+    then found := k
+    else i := k + 1
+  done;
+  !found
+
+(* Every instance built on the default ACL, and every replica, shares one
+   compiled form: compiling per instance would add to each deployment's
+   set-up. *)
+let default_compiled = compile (default_acl 100)
+
+let rec create_compiled ~name ~extra_cycles acl =
   let passed = ref 0 and dropped = ref 0 in
   let process pkt =
-    let verdict =
-      match List.find_opt (fun r -> matches r pkt) acl with
-      | Some r when not r.permit -> Nf.Dropped
-      | Some _ | None -> Nf.Forward
-    in
-    (match verdict with Nf.Forward -> incr passed | Nf.Dropped -> incr dropped);
-    verdict
+    let k = first_match acl pkt in
+    if k >= 0 && not acl.permit.(k) then begin
+      incr dropped;
+      Nf.Dropped
+    end
+    else begin
+      incr passed;
+      Nf.Forward
+    end
   in
   let cost_cycles _ = 190 + extra_cycles in
   let snapshot () = State (!passed, !dropped) in
@@ -99,9 +163,13 @@ let rec create ?(name = "fw") ?(extra_cycles = 0) ?acl () =
   ( Nf.make ~name ~kind:"Firewall" ~profile ~cost_cycles
       ~state_digest:(fun () -> Nfp_algo.Hashing.combine !passed !dropped)
       ~snapshot ~restore ~state_access
-      ~fresh:(fun () -> fst (create ~name ~extra_cycles ~acl ()))
+      ~fresh:(fun () -> fst (create_compiled ~name ~extra_cycles acl))
       ~merge
         (* Only commutative counters: migration moves the zero state. *)
       ~extract:(fun _ -> State (0, 0))
       process,
     { passed = (fun () -> !passed); dropped = (fun () -> !dropped) } )
+
+let create ?(name = "fw") ?(extra_cycles = 0) ?acl () =
+  let acl = match acl with Some a -> compile a | None -> default_compiled in
+  create_compiled ~name ~extra_cycles acl

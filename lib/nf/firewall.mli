@@ -32,3 +32,15 @@ val create :
     [default_acl 100]. First matching rule wins; no match permits. *)
 
 val matches : rule -> Packet.t -> bool
+(** The reference semantics of one rule. *)
+
+type compiled
+(** An ACL compiled to flat integer columns: what the NF scans per
+    packet. Instances created from the default ACL, and the [fresh]
+    replicas of any instance, share one compiled form. *)
+
+val compile : rule list -> compiled
+
+val first_match : compiled -> Packet.t -> int
+(** Index of the first rule that {!matches} the packet, or -1; reads
+    each header field once and allocates nothing. *)

@@ -35,16 +35,24 @@ let state_access =
       global General "last-next-hop";
     ]
 
+(* The next hop recorded for a packet with no route. *)
+let default_hop = Some 0
+
 let create ?(name = "fwd") ?(routes = 1000) () =
   let table = build_table routes in
+  (* Build the lookup index now, as part of set-up, not on the first
+     packet. *)
+  ignore (Nfp_algo.Lpm.lookup_int table 0);
   let forwarded = ref 0 and no_route = ref 0 in
   let last : int option ref = ref None in
   let process pkt =
-    (match Nfp_algo.Lpm.lookup table (Packet.dip pkt) with
-    | Some hop -> last := Some hop
+    (* The table's own [Some hop] is stored, so recording the hop
+       allocates nothing. *)
+    (match Nfp_algo.Lpm.lookup_int table (Packet.dip_int pkt) with
+    | Some _ as hop -> last := hop
     | None ->
         incr no_route;
-        last := Some 0);
+        last := default_hop);
     incr forwarded;
     Nf.Forward
   in

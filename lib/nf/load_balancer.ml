@@ -44,7 +44,11 @@ let rec create ?(name = "lb") ?(vip = default_vip) ?(backends = default_backends
   if Array.length backends = 0 then invalid_arg "Load_balancer.create: no backends";
   let counts = Array.make (Array.length backends) 0 in
   let process pkt =
-    let h = Flow.hash (Packet.flow pkt) in
+    (* [Flow.hash (Packet.flow pkt)], straight from the header. *)
+    let h =
+      Flow.hash_ints ~sip:(Packet.sip_int pkt) ~dip:(Packet.dip_int pkt)
+        ~sport:(Packet.sport pkt) ~dport:(Packet.dport pkt) ~proto:(Packet.proto pkt)
+    in
     let i = h mod Array.length backends in
     counts.(i) <- counts.(i) + 1;
     Packet.set_dip pkt backends.(i);

@@ -8,7 +8,12 @@ type stats = {
   total_packets : unit -> int;
 }
 
-type Nf.state += State of (Flow.t, counter) Hashtbl.t * int
+(* Keyed by the 5-tuple with its own equality and hash: the generic
+   [Hashtbl] would route every packet through the polymorphic
+   [caml_hash] and [compare_val]. *)
+module Flows = Hashtbl.Make (Flow)
+
+type Nf.state += State of counter Flows.t * int
 
 let profile =
   Action.
@@ -24,19 +29,19 @@ let state_access =
    differs from a single instance's — the digest must be a commutative
    fold (a sum of per-entry hashes), not an order-dependent chain. *)
 let merge states =
-  let table = Hashtbl.create 1024 and total = ref 0 in
+  let table = Flows.create 1024 and total = ref 0 in
   List.iter
     (function
       | State (t, n) ->
           total := !total + n;
-          Hashtbl.iter
+          Flows.iter
             (fun flow c ->
               let prev =
-                match Hashtbl.find_opt table flow with
+                match Flows.find_opt table flow with
                 | Some p -> p
                 | None -> { packets = 0; bytes = 0 }
               in
-              Hashtbl.replace table flow
+              Flows.replace table flow
                 { packets = prev.packets + c.packets; bytes = prev.bytes + c.bytes })
             t
       | _ -> invalid_arg "Monitor.merge: foreign state")
@@ -44,20 +49,20 @@ let merge states =
   State (table, !total)
 
 let rec create ?(name = "mon") () =
-  let table : (Flow.t, counter) Hashtbl.t ref = ref (Hashtbl.create 1024) in
+  let table = ref (Flows.create 1024) in
   let total = ref 0 in
   let process pkt =
     let flow = Packet.flow pkt in
     let prev =
-      match Hashtbl.find_opt !table flow with Some c -> c | None -> { packets = 0; bytes = 0 }
+      match Flows.find_opt !table flow with Some c -> c | None -> { packets = 0; bytes = 0 }
     in
-    Hashtbl.replace !table flow
+    Flows.replace !table flow
       { packets = prev.packets + 1; bytes = prev.bytes + Packet.wire_length pkt };
     incr total;
     Nf.Forward
   in
   let state_digest () =
-    Hashtbl.fold
+    Flows.fold
       (fun flow c acc ->
         (acc
         + Nfp_algo.Hashing.combine (Flow.hash flow)
@@ -65,10 +70,10 @@ let rec create ?(name = "mon") () =
         land max_int)
       !table !total
   in
-  let snapshot () = State (Hashtbl.copy !table, !total) in
+  let snapshot () = State (Flows.copy !table, !total) in
   let restore = function
     | State (t, n) ->
-        table := Hashtbl.copy t;
+        table := Flows.copy t;
         total := n
     | _ -> invalid_arg "Monitor.restore: foreign state"
   in
@@ -76,9 +81,9 @@ let rec create ?(name = "mon") () =
      the live table. The global total is commutative — it stays where
      the packets were counted and sums back under [merge]. *)
   let extract pred =
-    let moved = Hashtbl.create 64 in
-    Hashtbl.iter (fun flow c -> if pred flow then Hashtbl.replace moved flow c) !table;
-    Hashtbl.iter (fun flow _ -> Hashtbl.remove !table flow) moved;
+    let moved = Flows.create 64 in
+    Flows.iter (fun flow c -> if pred flow then Flows.replace moved flow c) !table;
+    Flows.iter (fun flow _ -> Flows.remove !table flow) moved;
     State (moved, 0)
   in
   ( Nf.make ~name ~kind:"Monitor" ~profile ~cost_cycles:(fun _ -> 220) ~state_digest
@@ -86,7 +91,7 @@ let rec create ?(name = "mon") () =
       ~fresh:(fun () -> fst (create ~name ()))
       ~merge ~extract process,
     {
-      flows = (fun () -> Hashtbl.length !table);
-      lookup = (fun f -> Hashtbl.find_opt !table f);
+      flows = (fun () -> Flows.length !table);
+      lookup = (fun f -> Flows.find_opt !table f);
       total_packets = (fun () -> !total);
     } )

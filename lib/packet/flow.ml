@@ -14,6 +14,12 @@ let compare = Stdlib.compare
 
 let hash t = Nfp_algo.Hashing.tuple5 t.sip t.dip t.sport t.dport t.proto
 
+(* The same bits from addresses held as native ints: [mix2_int] over the
+   packed limbs is [tuple5_64] truncated to the native width. *)
+let hash_ints ~sip ~dip ~sport ~dport ~proto =
+  let module H = Nfp_algo.Hashing in
+  H.mix2_int (H.pack_a_int sip sport proto) (H.pack_b_int dip dport) land max_int
+
 let reverse t = { t with sip = t.dip; dip = t.sip; sport = t.dport; dport = t.sport }
 
 let ip_to_string ip =

@@ -20,7 +20,13 @@ val equal : t -> t -> bool
 val compare : t -> t -> int
 
 val hash : t -> int
-(** ECMP-style 5-tuple hash, non-negative. *)
+(** ECMP-style 5-tuple hash, non-negative: [Hashing.tuple5] of the
+    tuple. *)
+
+val hash_ints : sip:int -> dip:int -> sport:int -> dport:int -> proto:int -> int
+(** {!hash} of a tuple whose addresses are unsigned 32-bit native ints
+    (e.g. [Packet.sip_int]), so a caller holding a packet hashes its
+    flow without building a [t]. *)
 
 val reverse : t -> t
 (** Swap source and destination (the return path of the flow). *)

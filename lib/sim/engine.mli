@@ -19,6 +19,14 @@ val schedule : t -> delay:float -> (unit -> unit) -> unit
 val schedule_at : t -> float -> (unit -> unit) -> unit
 (** Absolute-time variant; times in the past raise [Invalid_argument]. *)
 
+val schedule_call : t -> delay:float -> (int -> unit) -> int -> unit
+(** [schedule_call t ~delay handler payload] fires [handler payload] at
+    [now t +. delay]: the allocation-free form. A caller that allocates
+    [handler] once and carries per-event state in [payload] schedules
+    without allocating. Orders with {!schedule} events exactly as a
+    closure scheduled at the same point would. Negative delays raise
+    [Invalid_argument]. *)
+
 val run : ?until:float -> ?max_events:int -> t -> unit
 (** Drain the queue, advancing time. [until] stops the clock at a
     deadline (remaining events stay queued); [max_events] bounds work

@@ -80,6 +80,13 @@ type 'job t = {
   mutable orphans : (unit -> bool) list;
   mutable casualty_sink : ('job list -> (unit -> bool) list -> unit) option;
   mutable pump_armed : bool;
+  (* Engine handlers, allocated once per server so that scheduling a
+     breath completion or a retry allocates nothing. The breath and
+     flush handlers take the [epoch] current when they were scheduled
+     as their argument and do nothing if it has moved on. *)
+  mutable on_breath : int -> unit;
+  mutable on_flush_retry : int -> unit;
+  mutable on_pump_retry : int -> unit;
 }
 
 let jittered t base =
@@ -117,7 +124,10 @@ let stash t jobs emits =
         t.limbo <- jobs @ t.limbo;
         t.orphans <- t.orphans @ emits
 
-let has_work t = t.limbo <> [] || not (Nfp_algo.Ring.is_empty t.ring)
+(* List emptiness by pattern, not [<> []]: the polymorphic comparison
+   would call [caml_notequal] on every breath. *)
+let has_work t =
+  match t.limbo with _ :: _ -> true | [] -> not (Nfp_algo.Ring.is_empty t.ring)
 
 (* Emit the breath's thunks in order; stall and retry on backpressure.
    [emits.(emit_cursor ..)] shadows the worklist so an interrupt can
@@ -139,9 +149,7 @@ let rec flush t =
   end
   else begin
     t.f.stalled_ns <- t.f.stalled_ns +. t.retry_ns;
-    let epoch = t.epoch in
-    Engine.schedule t.engine ~delay:t.retry_ns (fun () ->
-        if t.epoch = epoch then flush t)
+    Engine.schedule_call t.engine ~delay:t.retry_ns t.on_flush_retry t.epoch
   end
 
 (* Work reclaimed as orphans is emitted before any new breath runs, so
@@ -160,9 +168,7 @@ and pump_orphans t =
           t.f.stalled_ns <- t.f.stalled_ns +. t.retry_ns;
           if not t.pump_armed then begin
             t.pump_armed <- true;
-            Engine.schedule t.engine ~delay:t.retry_ns (fun () ->
-                t.pump_armed <- false;
-                pump_orphans t)
+            Engine.schedule_call t.engine ~delay:t.retry_ns t.on_pump_retry 0
           end
         end
   end
@@ -173,10 +179,12 @@ and pump_orphans t =
    exhale at completion — the rx_burst/tx_burst pattern of a DPDK poll
    loop, with all per-breath state in reused scratch arrays. *)
 and run_batch t =
-  if (not t.busy) && (not t.down) && (not t.paused) && t.orphans = [] && has_work t
+  if
+    (not t.busy) && (not t.down) && (not t.paused)
+    && (match t.orphans with [] -> true | _ :: _ -> false)
+    && has_work t
   then begin
     t.busy <- true;
-    let epoch = t.epoch in
     let extra = t.f.extra_ns in
     t.f.extra_ns <- 0.0;
     let j0 =
@@ -189,17 +197,15 @@ and run_batch t =
     if Array.length t.jobs = 0 then t.jobs <- Array.make t.batch j0
     else t.jobs.(0) <- j0;
     let n = ref 1 in
-    let rec take_limbo () =
-      if !n < t.batch then
-        match t.limbo with
-        | j :: rest ->
-            t.limbo <- rest;
-            t.jobs.(!n) <- j;
-            incr n;
-            take_limbo ()
-        | [] -> ()
-    in
-    take_limbo ();
+    let limbo_left = ref true in
+    while !limbo_left && !n < t.batch do
+      match t.limbo with
+      | j :: rest ->
+          t.limbo <- rest;
+          t.jobs.(!n) <- j;
+          incr n
+      | [] -> limbo_left := false
+    done;
     if !n < t.batch then
       n := !n + Nfp_algo.Ring.dequeue_into t.ring t.jobs !n (t.batch - !n);
     let n = !n in
@@ -212,17 +218,20 @@ and run_batch t =
     done;
     let finish = !finish in
     t.f.busy_ns <- t.f.busy_ns +. finish;
-    Engine.schedule t.engine ~delay:finish (fun () ->
-        if t.epoch = epoch then begin
-          let n = t.n_inflight in
-          t.n_inflight <- 0;
-          for i = 0 to n - 1 do
-            t.emits.(i) <- run_job t t.jobs.(i)
-          done;
-          t.n_emits <- n;
-          t.emit_cursor <- 0;
-          flush t
-        end)
+    Engine.schedule_call t.engine ~delay:finish t.on_breath t.epoch
+  end
+
+(* Breath completion: execute the inhaled jobs and start exhaling. *)
+let complete_breath t epoch =
+  if t.epoch = epoch then begin
+    let n = t.n_inflight in
+    t.n_inflight <- 0;
+    for i = 0 to n - 1 do
+      t.emits.(i) <- run_job t t.jobs.(i)
+    done;
+    t.n_emits <- n;
+    t.emit_cursor <- 0;
+    flush t
   end
 
 (* The casualties of an interrupt, as lists (cold path): the in-flight
@@ -266,7 +275,7 @@ let resume t =
 
 let create ~engine ~name ~ring_capacity ~batch ?(burst_saving_ns = 0.0) ?jitter
     ?(retry_ns = 150.0) ?watermarks ?fault ~service_ns ~execute () =
-  let batch = max 1 batch in
+  let batch = Int.max 1 batch in
   let ring = Nfp_algo.Ring.create ~capacity:ring_capacity in
   (match watermarks with
   | None -> ()
@@ -301,8 +310,17 @@ let create ~engine ~name ~ring_capacity ~batch ?(burst_saving_ns = 0.0) ?jitter
       orphans = [];
       casualty_sink = None;
       pump_armed = false;
+      on_breath = ignore;
+      on_flush_retry = ignore;
+      on_pump_retry = ignore;
     }
   in
+  t.on_breath <- complete_breath t;
+  t.on_flush_retry <- (fun epoch -> if t.epoch = epoch then flush t);
+  t.on_pump_retry <-
+    (fun _ ->
+      t.pump_armed <- false;
+      pump_orphans t);
   (match fault with
   | None -> ()
   | Some (f : Fault.core) ->
@@ -320,7 +338,7 @@ let create ~engine ~name ~ring_capacity ~batch ?(burst_saving_ns = 0.0) ?jitter
               Engine.schedule engine ~delay:(at_ns +. duration_ns) (fun () -> resume t)
           | Fault.Slowdown { at_ns; factor } ->
               Engine.schedule engine ~delay:at_ns (fun () -> t.f.slow <- t.f.slow *. factor)
-          | Fault.Drop { probability } -> t.f.drop_p <- min 1.0 (t.f.drop_p +. probability))
+          | Fault.Drop { probability } -> t.f.drop_p <- Float.min 1.0 (t.f.drop_p +. probability))
         f.events);
   t
 

@@ -63,6 +63,35 @@ let heap_tests =
           ignore (Heap.pop h)
         done;
         Heap.length h = List.length xs - pops);
+    (* [Some t] pushes an element keyed at time [t] (few distinct times,
+       so ties are common); [None] pops, when non-empty. Against a list
+       model: each pop is the least (time, seq), with its own data and
+       payload, and sets the clock to its key. *)
+    qtest "timed heap pops by (time, seq) with data and payload"
+      QCheck.(list_of_size Gen.(int_range 0 300) (option (int_bound 6)))
+      (fun script ->
+        let h = Heap.Timed.create () and clock = { Heap.Timed.now = -1.0 } in
+        let model = ref [] and seq = ref 0 in
+        List.for_all
+          (fun step ->
+            match step with
+            | Some t ->
+                let time = float_of_int t in
+                Heap.Timed.push h ~time ~seq:!seq (string_of_int !seq) (1000 + !seq);
+                model := (time, !seq) :: !model;
+                incr seq;
+                Heap.Timed.length h = List.length !model
+            | None -> (
+                match List.sort compare !model with
+                | [] -> Heap.Timed.is_empty h && not (Heap.Timed.due h infinity)
+                | ((time, s) as least) :: _ ->
+                    model := List.filter (fun e -> e <> least) !model;
+                    Heap.Timed.due h time
+                    && (not (Heap.Timed.due h (time -. 0.5)))
+                    && Heap.Timed.min_payload h = 1000 + s
+                    && Heap.Timed.pop_exn h clock = string_of_int s
+                    && clock.now = time))
+          script);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -307,7 +336,89 @@ let lpm_tests =
             None entries
         in
         Lpm.lookup t addr = Option.map (fun (_, _, v) -> v) best);
+    Alcotest.test_case "lookup_int takes unsigned addresses" `Quick (fun () ->
+        let t = Lpm.create () in
+        Lpm.add t ~prefix:(ip 192 168 0 0) ~len:16 1;
+        Lpm.add t ~prefix:(ip 255 255 255 255) ~len:32 2;
+        check Alcotest.(option int) "high half" (Some 1) (Lpm.lookup_int t 0xc0a80101);
+        check Alcotest.(option int) "top address" (Some 2) (Lpm.lookup_int t 0xffffffff);
+        check Alcotest.(option int) "below" None (Lpm.lookup_int t 0xc0a7ffff));
+    Alcotest.test_case "lookups share the bound option" `Quick (fun () ->
+        let t = Lpm.create () in
+        Lpm.add t ~prefix:(ip 10 0 0 0) ~len:8 3;
+        match (Lpm.lookup_int t 0x0a000001, Lpm.lookup_int t 0x0a0000ff) with
+        | (Some _ as a), (Some _ as b) -> check Alcotest.bool "same box" true (a == b)
+        | _ -> Alcotest.fail "no route");
   ]
+
+(* The interval index against the unibit trie it replaced
+   (test/lpm_trie.ml): random edits — adds, overwrites of a bound prefix,
+   removes of bound and unbound ones, /0 and /32 included — each followed
+   by lookups, so every lazy rebuild is checked. Prefixes are drawn near
+   a few shared bases so they nest; lookups probe the first and last
+   address of every bound prefix and their outside neighbours (the edges
+   of the index's intervals), plus the ends of the address space. *)
+type lpm_op = Add of int * int * int | Remove of int * int
+
+let lpm_ops_gen =
+  let open QCheck.Gen in
+  let addr = map2 (fun hi lo -> (hi lsl 16) lor lo) (int_bound 0xffff) (int_bound 0xffff) in
+  let bases = [ 0x0a000000; 0x0a010200; 0xc0a80000; 0xffffffff ] in
+  let base = frequency [ (3, oneofl bases); (1, addr) ] in
+  let near = map2 (fun b d -> (b lxor d) land 0xffffffff) base (int_bound 0xfff) in
+  let len = frequency [ (1, return 0); (1, return 32); (6, int_range 0 32) ] in
+  let op =
+    frequency
+      [
+        (4, map3 (fun p l v -> Add (p, l, v)) near len (int_bound 1000));
+        (1, map2 (fun p l -> Remove (p, l)) near len);
+      ]
+  in
+  list_size (int_range 1 60) op
+
+let print_lpm_op = function
+  | Add (p, l, v) -> Printf.sprintf "add %08x/%d=%d" p l v
+  | Remove (p, l) -> Printf.sprintf "remove %08x/%d" p l
+
+let lpm_differential =
+  qtest ~count:300 "interval index agrees with the unibit trie"
+    (QCheck.make ~print:(QCheck.Print.list print_lpm_op) lpm_ops_gen)
+    (fun ops ->
+      let t = Lpm.create () and oracle = Lpm_trie.create () in
+      let bound = Hashtbl.create 16 in
+      let mask len = if len = 0 then 0 else (0xffffffff lsl (32 - len)) land 0xffffffff in
+      let probes () =
+        let edges =
+          Hashtbl.fold
+            (fun (p, len) () acc ->
+              let first = p land mask len in
+              let last = first lor (lnot (mask len) land 0xffffffff) in
+              first :: last :: (first - 1) :: (last + 1) :: acc)
+            bound [ 0; 0xffffffff ]
+        in
+        List.filter (fun a -> a >= 0 && a <= 0xffffffff) edges
+      in
+      let agree () =
+        Lpm.entries t = Lpm_trie.entries oracle
+        && List.for_all
+             (fun a ->
+               let expected = Lpm_trie.lookup oracle (Int32.of_int a) in
+               Lpm.lookup t (Int32.of_int a) = expected && Lpm.lookup_int t a = expected)
+             (probes ())
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Add (p, len, v) ->
+              Lpm.add t ~prefix:(Int32.of_int p) ~len v;
+              Lpm_trie.add oracle ~prefix:(Int32.of_int p) ~len v;
+              Hashtbl.replace bound (p land mask len, len) ()
+          | Remove (p, len) ->
+              Lpm.remove t ~prefix:(Int32.of_int p) ~len;
+              Lpm_trie.remove oracle ~prefix:(Int32.of_int p) ~len;
+              Hashtbl.remove bound (p land mask len, len));
+          agree ())
+        ops)
 
 (* ------------------------------------------------------------------ *)
 (* Aho-Corasick                                                        *)
@@ -478,8 +589,8 @@ let hashing_tests =
           (pair (int_bound 0xffffffff) (int_bound 0xffffffff))
           (pair (int_bound 0xffff) (pair (int_bound 0xffff) (int_bound 255))))
       (fun ((sip, dip), (sport, (dport, proto))) ->
-        (* The limb-arithmetic hash on the classifier's hit path must be
-           bit-identical to the boxed Int64 pipeline it replaces. *)
+        (* The hash on the classifier's hit path, with [mix64] written
+           out, must be bit-identical to the composed Int64 pipeline. *)
         let a = Hashing.pack_a_int sip sport proto
         and b = Hashing.pack_b_int dip dport in
         let reference =
@@ -906,7 +1017,7 @@ let () =
     [
       ("heap", heap_tests);
       ("ring", ring_tests);
-      ("lpm", lpm_tests);
+      ("lpm", lpm_tests @ [ lpm_differential ]);
       ("aho_corasick", aho_tests);
       ("aes", aes_tests);
       ("hashing", hashing_tests);

@@ -264,9 +264,9 @@ let property_tests =
    - the pure forwarder chain isolates the engine itself (pktgen
      buffer, context, breath dispatch, classifier hit, emission
      closures, merger presentation, delivery, harness accounting);
-     measured ~630 words/packet at batch 32, pinned at 800.
+     measured ~318 words/packet at batch 32, pinned at 400.
    - the stateful NS chain adds the NF internals (VPN encapsulation
-     copies, Monitor flow state); measured ~1730, pinned at 2200.
+     copies, Monitor flow state); measured ~1241, pinned at 1550.
 
    A regression that reintroduces boxing to the hot path — a float
    field in a mixed record, an option on a dequeue, an Int64 hash —
@@ -304,17 +304,17 @@ let allocation_tests =
           words_per_packet ~text:fwd_text ~bindings:fwd_bindings ~config:(breath 32)
             ~packets:4000
         in
-        if w > 800.0 then
+        if w > 400.0 then
           Alcotest.failf
-            "allocation regression: %.1f minor words/packet (budget 800)" w);
+            "allocation regression: %.1f minor words/packet (budget 400)" w);
     Alcotest.test_case "stateful chain stays under budget" `Quick (fun () ->
         let w =
           words_per_packet ~text:ns_text ~bindings:ns_bindings ~config:(breath 32)
             ~packets:4000
         in
-        if w > 2200.0 then
+        if w > 1550.0 then
           Alcotest.failf
-            "allocation regression: %.1f minor words/packet (budget 2200)" w);
+            "allocation regression: %.1f minor words/packet (budget 1550)" w);
     Alcotest.test_case "batching does not allocate more than per-packet" `Quick
       (fun () ->
         let batched =

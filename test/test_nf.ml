@@ -20,6 +20,79 @@ let is_forward = function Nf.Forward -> true | Nf.Dropped -> false
 (* Firewall                                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* The compiled ACL against the reference [Firewall.matches]: the first
+   matching rule's index, and the NF's verdict (and its [fresh]
+   replica's), on random rule lists and packets. Rules draw prefixes of
+   every length (0 and 32 included) around a few addresses the packets
+   also use, so both hits and near misses occur, and protocols other
+   than TCP/UDP, whose packets read ports as 0. *)
+let acl_agreement =
+  let open QCheck.Gen in
+  let addr =
+    frequency
+      [
+        (4, oneofl [ 0x0a000001; 0x0a000101; 0xffffffff ]);
+        (1, map2 (fun hi lo -> (hi lsl 16) lor lo) (int_bound 0xffff) (int_bound 0xffff));
+      ]
+  in
+  let len = frequency [ (3, oneofl [ 0; 8; 16; 23; 24; 32 ]); (1, int_range 0 32) ] in
+  let port = frequency [ (3, oneofl [ 0; 80; 443; 0xffff ]); (1, int_bound 0xffff) ] in
+  let range =
+    frequency
+      [
+        (1, return (0, 0xffff));
+        (1, map (fun p -> (p, p)) port);
+        (2, map2 (fun a b -> (min a b, max a b)) port port);
+      ]
+  in
+  let rule =
+    map
+      (fun (((sip, sl), (dip, dl)), ((sr, dr), (proto, permit))) ->
+        {
+          Firewall.sip_prefix = (Int32.of_int sip, sl);
+          dip_prefix = (Int32.of_int dip, dl);
+          sport_range = sr;
+          dport_range = dr;
+          proto;
+          permit;
+        })
+      (pair
+         (pair (pair addr len) (pair addr len))
+         (pair (pair range range) (pair (opt (oneofl [ 6; 17; 1 ])) bool)))
+  in
+  let packet =
+    map
+      (fun ((sip, dip), ((sport, dport), proto)) ->
+        pkt
+          ~flow:
+            (Flow.make ~sip:(Int32.of_int sip) ~dip:(Int32.of_int dip) ~sport ~dport ~proto)
+          ())
+      (pair (pair addr addr) (pair (pair port port) (oneofl [ 6; 17; 1 ])))
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:300 ~name:"compiled ACL agrees with List.find_opt matches"
+       (QCheck.make (pair (list_size (int_range 0 12) rule) (list_size (int_range 1 8) packet)))
+       (fun (acl, packets) ->
+         let compiled = Firewall.compile acl in
+         let fw, _ = Firewall.create ~acl () in
+         let replica = Option.get fw.fresh () in
+         List.for_all
+           (fun p ->
+             let rec index i = function
+               | [] -> -1
+               | r :: rest -> if Firewall.matches r p then i else index (i + 1) rest
+             in
+             let expected = index 0 acl in
+             let forward =
+               match List.find_opt (fun r -> Firewall.matches r p) acl with
+               | Some r -> r.permit
+               | None -> true
+             in
+             Firewall.first_match compiled p = expected
+             && is_forward (fw.process p) = forward
+             && is_forward (replica.process p) = forward)
+           packets))
+
 let firewall_tests =
   [
     Alcotest.test_case "permits traffic missing the ACL" `Quick (fun () ->
@@ -81,6 +154,7 @@ let firewall_tests =
         let before = Packet.to_bytes p in
         ignore (fw.process p);
         check Alcotest.bool "unmodified" true (Bytes.equal before (Packet.to_bytes p)));
+    acl_agreement;
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -101,6 +101,17 @@ let flow_tests =
     Alcotest.test_case "equal flows hash equally" `Quick (fun () ->
         let f2 = Flow.make ~sip:some_ip ~dip:other_ip ~sport:1234 ~dport:80 ~proto:6 in
         check Alcotest.int "hash" (Flow.hash tcp_flow) (Flow.hash f2));
+    qtest ~count:500 "Flow.hash is Hashing.tuple5 of the tuple"
+      QCheck.(
+        pair
+          (pair (pair int32 int32) (pair (int_range 0 0xffff) (int_range 0 0xffff)))
+          (int_range 0 0xff))
+      (fun (((sip, dip), (sport, dport)), proto) ->
+        let f = Flow.make ~sip ~dip ~sport ~dport ~proto in
+        let ip a = Int32.to_int a land 0xffffffff in
+        let h = Nfp_algo.Hashing.tuple5 sip dip sport dport proto in
+        Flow.hash f = h
+        && Flow.hash_ints ~sip:(ip sip) ~dip:(ip dip) ~sport ~dport ~proto = h);
     qtest ~count:100 "ip_of_string inverts ip_to_string"
       QCheck.(int_range 0 0xffffff)
       (fun low ->

@@ -37,6 +37,19 @@ let engine_tests =
         Engine.schedule e ~delay:0.0 (fun () -> tick 4);
         Engine.run e;
         check Alcotest.int "five ticks" 5 !count);
+    Alcotest.test_case "handler events order with closure events" `Quick (fun () ->
+        let e = Engine.create () in
+        let log = ref [] in
+        let handler k = log := Printf.sprintf "h%d@%.0f" k (Engine.now e) :: !log in
+        Engine.schedule_call e ~delay:5.0 handler 1;
+        Engine.schedule e ~delay:5.0 (fun () -> log := "c@5" :: !log);
+        Engine.schedule_call e ~delay:5.0 handler 2;
+        Engine.schedule_call e ~delay:2.0 handler 3;
+        Engine.run e;
+        check Alcotest.(list string) "time, then scheduling order"
+          [ "h3@2"; "h1@5"; "c@5"; "h2@5" ] (List.rev !log);
+        Alcotest.check_raises "negative" (Invalid_argument "Engine.schedule: negative delay")
+          (fun () -> Engine.schedule_call e ~delay:(-1.0) handler 0));
     Alcotest.test_case "until stops the clock early" `Quick (fun () ->
         let e = Engine.create () in
         let fired = ref false in
@@ -288,6 +301,37 @@ let fault_tests =
         check Alcotest.int "processed" 1 (Server.processed s);
         check Alcotest.bool "held until the hang ended" true (!done_at >= 500.0);
         check Alcotest.bool "core is back up" true (not (Server.is_down s)));
+    (* The breath-completion event carries the epoch it was scheduled
+       in. A hang shorter than the breath reclaims the job and, on
+       resume, starts a new breath: the first completion still fires,
+       against a stale epoch, and must do nothing; the job runs once, at
+       the end of the new breath. *)
+    Alcotest.test_case "hang shorter than a breath: stale completion is a no-op"
+      `Quick (fun () ->
+        let e = Engine.create () in
+        let runs = ref [] in
+        let fault =
+          core_of (Fault.plan [ Fault.hang ~at_ns:20.0 ~duration_ns:30.0 "s" ]) "s"
+        in
+        let s =
+          Server.create ~engine:e ~name:"s" ~ring_capacity:8 ~batch:4 ~fault
+            ~service_ns:(fun _ -> 100.0)
+            ~execute:(fun j ->
+              fun () ->
+                runs := (j, Engine.now e) :: !runs;
+                true)
+            ()
+        in
+        Engine.schedule e ~delay:5.0 (fun () -> ignore (Server.offer s 7));
+        (* The first breath would complete at 105 ns. *)
+        Engine.schedule e ~delay:106.0 (fun () ->
+            check Alcotest.(list (pair int (float 1e-9))) "nothing ran at 105 ns" [] !runs);
+        Engine.run e;
+        check
+          Alcotest.(list (pair int (float 1e-9)))
+          "once, after the resumed breath" [ (7, 150.0) ] !runs;
+        check Alcotest.int "processed once" 1 (Server.processed s);
+        check Alcotest.(pair int int) "no casualties left" (0, 0) (Server.casualty_counts s));
     Alcotest.test_case "kill / revive with flush drops the backlog" `Quick (fun () ->
         let e = Engine.create () in
         let delivered = ref 0 in
