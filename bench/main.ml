@@ -96,21 +96,18 @@ type measurement = {
 }
 
 (* With --json every measurement of the selected experiment is collected
-   and dumped to BENCH_<experiment>.json. The mutex makes recording safe
-   from Harness.parallel_runs workers (sample order then follows
-   completion order; at one domain it matches print order). *)
+   and dumped to BENCH_<experiment>.json, in recording order. Record
+   from the main domain only: sweeps on Harness.parallel_runs return
+   their measurements and record them in submission order after
+   collection, so the file's row order does not depend on which worker
+   finishes first. *)
 let json_mode = ref false
-let json_mutex = Mutex.create ()
 let json_samples : measurement list ref = ref []
 
-let record_sample m =
-  if !json_mode then begin
-    Mutex.lock json_mutex;
-    json_samples := m :: !json_samples;
-    Mutex.unlock json_mutex
-  end
+let record_sample m = if !json_mode then json_samples := m :: !json_samples
 
-let measure ?(hi = 14.88) ?(prov = default_prov) ~gen make =
+(* [measure] without recording: for thunks on the domain pool. *)
+let measure_unrecorded ?(hi = 14.88) ?(prov = default_prov) ~gen make =
   let mpps =
     Nfp_sim.Harness.max_lossless_mpps ~make ~gen ~packets:search_packets ~hi
       ~iterations:8 ()
@@ -124,15 +121,16 @@ let measure ?(hi = 14.88) ?(prov = default_prov) ~gen make =
     failwith
       (Printf.sprintf "measure: %d packets missed the classification table"
          r.unmatched);
-  let m =
-    {
-      mpps;
-      latency_us = Nfp_algo.Stats.mean r.latency /. 1000.0;
-      p99_us = Nfp_algo.Stats.percentile r.latency 99.0 /. 1000.0;
-      prov;
-      extra = [];
-    }
-  in
+  {
+    mpps;
+    latency_us = Nfp_algo.Stats.mean r.latency /. 1000.0;
+    p99_us = Nfp_algo.Stats.percentile r.latency 99.0 /. 1000.0;
+    prov;
+    extra = [];
+  }
+
+let measure ?hi ?prov ~gen make =
+  let m = measure_unrecorded ?hi ?prov ~gen make in
   record_sample m;
   m
 
@@ -228,7 +226,8 @@ let run_fig7 () =
   (* Size points are independent sweeps, so they run on the domain pool;
      each thunk builds its own generator (the memo cache is mutable) and
      every simulation inside is self-seeded, so results are identical at
-     any worker count. Rows print in order after collection. *)
+     any worker count. Rows print, and their samples are recorded, in
+     order after collection. *)
   let rows =
     Nfp_sim.Harness.parallel_runs
       (List.map
@@ -246,7 +245,7 @@ let run_fig7 () =
                    classify = "none";
                  }
              in
-             (measure ~hi ~prov:p ~gen (make n)).mpps
+             measure_unrecorded ~hi ~prov:p ~gen (make n)
            in
            let nfp n =
              let kinds = forwarder_kinds n in
@@ -265,8 +264,9 @@ let run_fig7 () =
   in
   List.iter
     (fun (size, hi, nfp5, onvm1, onvm3, onvm5) ->
-      note "    %-8d %-10.2f %-12.2f %-12.2f %-12.2f %-10.2f" size hi nfp5 onvm1
-        onvm3 onvm5)
+      List.iter record_sample [ nfp5; onvm1; onvm3; onvm5 ];
+      note "    %-8d %-10.2f %-12.2f %-12.2f %-12.2f %-10.2f" size hi nfp5.mpps onvm1.mpps
+        onvm3.mpps onvm5.mpps)
     rows
 
 (* ------------------------------------------------------------------ *)

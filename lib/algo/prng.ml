@@ -1,79 +1,35 @@
-(* SplitMix64, carried in two 32-bit native-int limbs.
+(* SplitMix64 as a straight Int64 chain.
 
-   The straightforward Int64 implementation boxes every intermediate on
-   a non-flambda compiler (~10 heap allocations per draw), and a draw
-   sits on the simulator's hottest path (service jitter, per byte of
-   synthesized payload). The limb form uses only immediate ints, and
-   is bit-for-bit identical to the Int64 reference: products that
-   would need 64 bits are split into 16-bit half-products, and the
-   cross terms only ever matter modulo 2^32, which native 63-bit
-   wrap-around arithmetic preserves (2^32 divides 2^63). *)
+   The state and the mixed output of the last step live in one 16-byte
+   buffer (state at offset 0, output at offset 8), read and written
+   with [Bytes.get_int64_le]/[set_int64_le]. The compiler keeps the
+   [int64] intermediates of [step] unboxed, and storing the output
+   rather than returning it keeps [float] — the simulator's hottest
+   draw (service jitter, synthesized payload bytes) — allocation-free
+   too. *)
 
-type t = {
-  mutable hi : int;  (* state, upper 32 bits *)
-  mutable lo : int;  (* state, lower 32 bits *)
-  mutable out_hi : int;  (* mixed output of the last step *)
-  mutable out_lo : int;
-}
+type t = Bytes.t
 
-let mask32 = 0xffffffff
-
-(* golden = 0x9e3779b97f4a7c15, c1 = 0xbf58476d1ce4e5b9,
-   c2 = 0x94d049bb133111eb — the SplitMix64 constants, split. *)
-let golden_hi = 0x9e3779b9
-let golden_lo = 0x7f4a7c15
-let c1_hi = 0xbf58476d
-let c1_lo = 0x1ce4e5b9
-let c2_hi = 0x94d049bb
-let c2_lo = 0x133111eb
+let golden = 0x9e3779b97f4a7c15L
+let c1 = 0xbf58476d1ce4e5b9L
+let c2 = 0x94d049bb133111ebL
 
 let create ~seed =
-  {
-    hi = Int64.to_int (Int64.shift_right_logical seed 32) land mask32;
-    lo = Int64.to_int (Int64.logand seed 0xffffffffL);
-    out_hi = 0;
-    out_lo = 0;
-  }
+  let t = Bytes.make 16 '\000' in
+  Bytes.set_int64_le t 0 seed;
+  t
 
-(* Advance the state and mix; the result lands in out_hi/out_lo. The
-   64-bit multiplies are hand-inlined (the mixer runs per jitter draw
-   and per synthesized payload byte): low limb via 16-bit half-products
-   x0/x1 against the constant's halves, cross terms modulo 2^32. *)
+(* Advance the state and mix; the result lands at offset 8. *)
 let step t =
-  let sl = t.lo + golden_lo in
-  let lo = sl land mask32 in
-  let hi = (t.hi + golden_hi + (sl lsr 32)) land mask32 in
-  t.hi <- hi;
-  t.lo <- lo;
-  (* z ^= z >>> 30; z *= c1   (c1_lo halves: 0x1ce4, 0xe5b9) *)
-  let zl = lo lxor ((lo lsr 30) lor ((hi lsl 2) land mask32)) in
-  let zh = hi lxor (hi lsr 30) in
-  let x0 = zl land 0xffff and x1 = zl lsr 16 in
-  let pm = (x0 * 0x1ce4) + (x1 * 0xe5b9) in
-  let tl = (x0 * 0xe5b9) + ((pm land 0xffff) lsl 16) in
-  let mh =
-    ((pm lsr 16) + (x1 * 0x1ce4) + (tl lsr 32) + (zl * c1_hi) + (zh * c1_lo))
-    land mask32
-  in
-  let ml = tl land mask32 in
-  (* z ^= z >>> 27; z *= c2   (c2_lo halves: 0x1331, 0x11eb) *)
-  let zl = ml lxor ((ml lsr 27) lor ((mh lsl 5) land mask32)) in
-  let zh = mh lxor (mh lsr 27) in
-  let x0 = zl land 0xffff and x1 = zl lsr 16 in
-  let pm = (x0 * 0x1331) + (x1 * 0x11eb) in
-  let tl = (x0 * 0x11eb) + ((pm land 0xffff) lsl 16) in
-  let mh =
-    ((pm lsr 16) + (x1 * 0x1331) + (tl lsr 32) + (zl * c2_hi) + (zh * c2_lo))
-    land mask32
-  in
-  let ml = tl land mask32 in
-  (* z ^= z >>> 31 *)
-  t.out_hi <- mh lxor (mh lsr 31);
-  t.out_lo <- ml lxor ((ml lsr 31) lor ((mh lsl 1) land mask32))
+  let z = Int64.add (Bytes.get_int64_le t 0) golden in
+  Bytes.set_int64_le t 0 z;
+  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) c1 in
+  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) c2 in
+  Bytes.set_int64_le t 8 (Int64.logxor z (Int64.shift_right_logical z 31))
 
 let next t =
   step t;
-  Int64.logor (Int64.shift_left (Int64.of_int t.out_hi) 32) (Int64.of_int t.out_lo)
+  Bytes.get_int64_le t 8
 
 (* 2^-53 is a power of two, so multiplying by it is the exact scaling
    dividing by 2^53 performs — same result, no division unit. *)
@@ -82,9 +38,9 @@ let inv_2_53 = 1.0 /. 9007199254740992.0
 let float t =
   step t;
   (* Top 53 bits -> [0, 1); a 53-bit value fits a native int, so the
-     conversion is as exact as the Int64 form's. *)
-  let bits = (t.out_hi lsl 21) lor (t.out_lo lsr 11) in
-  float_of_int bits *. inv_2_53
+     conversion is exact. *)
+  float_of_int (Int64.to_int (Int64.shift_right_logical (Bytes.get_int64_le t 8) 11))
+  *. inv_2_53
 
 let int t ~bound =
   if bound <= 0 then invalid_arg "Prng.int: bound must be positive";

@@ -42,12 +42,6 @@ module Dedup = struct
   let length t = Hashtbl.length t.g_cur + Hashtbl.length t.g_prev
 end
 
-let core_count config (plan : Tables.plan) =
-  1
-  + List.length plan.Tables.nf_entries
-  + config.mergers
-  + if config.mergers > 1 then 1 else 0
-
 type core_stats = {
   core : string;
   busy_ns : float;
@@ -91,43 +85,9 @@ type replica_report = {
 let const_true () = true
 
 (* ------------------------------------------------------------------ *)
-(* Interpretive path: walks the plan's tables per packet. Kept as the  *)
-(* executable reference semantics for the compiled fast path; the      *)
-(* differential test in test/test_fastpath.ml holds the two to         *)
-(* packet-for-packet agreement.                                        *)
-(* ------------------------------------------------------------------ *)
-
-type delivery = {
-  ctx : Context.t;
-  merge_id : int;
-  deliverer : Tables.deliverer;
-  version : int;
-  nil : bool;
-}
-
-type at_entry = { mutable received : int; mutable nil_from : Tables.deliverer list }
-
-(* A retryable emission: a mutable worklist of sends; each call pushes
-   as many as fit downstream and reports whether everything left. *)
-let emitter sends =
-  let remaining = ref sends in
-  fun () ->
-    let rec go () =
-      match !remaining with
-      | [] -> true
-      | send :: rest ->
-          if send () then begin
-            remaining := rest;
-            go ()
-          end
-          else false
-    in
-    go ()
-
-(* ------------------------------------------------------------------ *)
-(* Compiled path: the plan is translated once, at deployment time,     *)
-(* into a preresolved runtime program — merge specs in arrays indexed  *)
-(* by merge id, NF and merger targets resolved to direct server slots, *)
+(* The plan is translated once, at deployment time, into a            *)
+(* preresolved runtime program — merge specs in arrays indexed by      *)
+(* merge id, NF and merger targets resolved to direct server slots,    *)
 (* static cycle costs folded into one constant (only the per-byte      *)
 (* full-copy term stays dynamic), and emissions as arrays walked by a  *)
 (* cursor instead of per-packet closure lists.                         *)
@@ -182,8 +142,9 @@ module Accumulations = Hashtbl.Make (struct
     Nfp_algo.Hashing.combine (Nfp_algo.Hashing.combine mid id) (Int64.to_int pid)
 end)
 
-(* First branch of [spec] the deliverer satisfies, mirroring the
-   interpretive path's [branch_of] — resolved once at compile time. *)
+(* First branch of [spec] the deliverer satisfies (its own branch, or
+   the branch whose members include it) — resolved once at compile
+   time. *)
 let branch_index (spec : Tables.merge_spec) (deliverer : Tables.deliverer) =
   let rec go i = function
     | [] -> -1
@@ -204,7 +165,7 @@ let empty_prog = { p_copies = [||]; p_sends = [||]; p_static = 0; p_full_srcs = 
 let pressure_poll_ns = 2_000.0
 let shed_trickle = 16
 
-let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_config)
+let make_multi ?(classify = `Cached) ?(config = default_config)
     ?fault ?overload ?elastic ?links ?stats ?replication ~graphs engine ~output =
   (* A links config with an empty plan and no reliability layer is
      normalized away entirely — nothing to perturb, nothing to arm, so
@@ -218,25 +179,21 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
   in
   (* Every misconfiguration at once: one Invalid_argument naming each
      violated rule, joined with "; ". *)
-  let interpretive = path = `Interpretive in
   let any o violated = Option.fold ~none:false ~some:violated o in
   (match
      List.filter_map
        (fun (violated, msg) -> if violated then Some msg else None)
        [
          (graphs = [], "no service graphs");
-         (interpretive && Option.is_some fault, "fault injection requires the `Compiled path");
          ( any fault (fun f -> f.watchdog_interval_ns <= 0.0),
            "fault watchdog_interval_ns must be positive" );
          (any fault (fun f -> f.restart_ns < 0.0), "fault restart_ns must be >= 0");
-         (interpretive && Option.is_some overload, "overload control requires the `Compiled path");
          ( any overload (fun o ->
                not
                  (0 <= o.low_watermark
                  && o.low_watermark < o.high_watermark
                  && o.high_watermark <= config.ring_capacity)),
            "overload watermarks must satisfy 0 <= low < high <= ring_capacity" );
-         (interpretive && Option.is_some elastic, "elastic scale-out requires the `Compiled path");
          ( any elastic (fun e -> e.min_replicas < 1 || e.max_replicas < e.min_replicas),
            "elastic replica bounds must satisfy 1 <= min <= max" );
          (any elastic (fun e -> e.buckets < e.max_replicas), "elastic buckets must be >= max_replicas");
@@ -248,7 +205,6 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
          ( any elastic (fun e -> not (e.scale_in_occupancy < e.scale_out_occupancy)),
            "elastic occupancy thresholds must satisfy in < out" );
          (any elastic (fun e -> e.migration_batch < 1), "elastic migration_batch must be >= 1");
-         (interpretive && Option.is_some links, "link channels require the `Compiled path");
          (any links (fun l -> l.link_window < 1), "links link_window must be >= 1");
          (any links (fun l -> l.reorder_window < 1), "links reorder_window must be >= 1");
          (any links (fun l -> l.retransmit_budget < 1), "links retransmit_budget must be >= 1");
@@ -258,14 +214,12 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
            "links periods must be positive" );
          (any links (fun l -> l.rto_backoff < 1.0), "links rto_backoff must be >= 1.0");
          (any links (fun l -> l.probe_timeout_k < 1), "links probe_timeout_k must be >= 1");
-         (interpretive && config.replicas > 1, "replicas require the `Compiled path");
        ]
    with
   | [] -> ()
   | msgs -> invalid_arg ("System.make_multi: " ^ String.concat "; " msgs));
-  (* Watermarks for every compiled-path ring; [None] (no overload
-     config) leaves each ring's latch disarmed — the bit-identity
-     guarantee. *)
+  (* Watermarks for every ring; [None] (no overload config) leaves
+     each ring's latch disarmed — the bit-identity guarantee. *)
   let wm = Option.map (fun o -> (o.high_watermark, o.low_watermark)) overload in
   let degrade_on = any overload (fun o -> o.degrade_enabled) in
   (* Replica target for strategy-eligible NFs; 1 (the default) keeps
@@ -273,9 +227,7 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
   let replicas_knob = max 1 config.replicas in
   let cost = config.cost in
   (* Breath size for every core's poll loop; 1 restores per-packet
-     (legacy) execution exactly. Both execution paths get the same
-     value and the same per-breath amortization, so the
-     interpretive/compiled differential is undisturbed at any size. *)
+     (legacy) execution exactly. *)
   let batch = max 1 config.batch_size in
   let burst_saving_ns = Nfp_sim.Cost.ns_of_cycles cost cost.burst_saving in
   (* Faults are resolved per core by name; [None] everywhere when no
@@ -359,9 +311,8 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
   let wire_delay = cost.wire_ns /. 2.0 in
   (* Output-side dedup backstop (armed runs only): a replayed or
      timeout-completed branch must never deliver the same (pid, version)
-     twice. Version 0 marks deliveries with no version identity (twin
-     chains tag version 1, compiled/interpretive paths their plan
-     version), which pass through unfiltered. *)
+     twice. Twin chains tag their deliveries version 1, the parallel
+     graph its (1-based) plan version. *)
   let dedup_capacity =
     match fault with Some fc -> max 2 fc.dedup_capacity | None -> 65_536
   in
@@ -371,11 +322,10 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
     Dedup.length delivered_versions
     + List.fold_left (fun acc d -> acc + Dedup.length d) 0 !merger_dedups
   in
-  let deliver_out ?(version = 0) ~pid pkt =
-    if dedup_on && version > 0 && Dedup.mem delivered_versions (pid, version) then
-      incr deduped
+  let deliver_out ~version ~pid pkt =
+    if dedup_on && Dedup.mem delivered_versions (pid, version) then incr deduped
     else begin
-      if dedup_on && version > 0 then Dedup.add delivered_versions (pid, version);
+      if dedup_on then Dedup.add delivered_versions (pid, version);
       Nfp_sim.Engine.schedule engine ~delay:wire_delay (fun () -> output ~pid pkt)
     end
   in
@@ -437,8 +387,8 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
          (Int64.logand (Nfp_algo.Hashing.mix64 pid) Int64.max_int)
          (Int64.of_int (max 1 instances)))
   in
-  (* Per-NF replica layout, filled in by whichever execution path
-     builds the cores: (mid, entry, replica NF instances, replica cores).
+  (* Per-NF replica layout, filled in as the cores are built: (mid,
+     entry, replica NF instances, replica cores).
      The [?replication] report reads it. *)
   let replica_layout :
       (int * Tables.nf_entry * Nfp_nf.Nf.t array * Context.t Nfp_sim.Server.t array) list ref =
@@ -456,9 +406,9 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
       ~deliver:(fun job -> Nfp_sim.Server.offer srv job)
       ~reroute:(fun job -> drive (fun () -> Nfp_sim.Server.offer srv job))
   in
-  (* Every compiled-path core is built here and registered with the
-     watchdog. Registration order is creation order: it fixes the
-     watchdog's scan order and the [health.cores] listing. *)
+  (* Every core is built here and registered with the watchdog.
+     Registration order is creation order: it fixes the watchdog's
+     scan order and the [health.cores] listing. *)
   let core :
       'a.
       ?role:'a Recovery.role ->
@@ -478,843 +428,577 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
     server
   in
   let classifier, sampler, controller =
-    match path with
-    | `Interpretive ->
-        (* ---------------- interpretive construction ---------------- *)
-        let nf_cores : (int * string, Context.t Nfp_sim.Server.t) Hashtbl.t =
-          Hashtbl.create 16
-        in
-        let merger_cores : delivery Nfp_sim.Server.t array ref = ref [||] in
-        let agent_core : delivery Nfp_sim.Server.t option ref = ref None in
-        let action_cost ctx actions =
-          List.fold_left
-            (fun acc -> function
-              | Tables.Copy { full; src_version; _ } ->
-                  if full then
-                    acc + cost.copy_base
-                    + int_of_float
-                        (cost.copy_per_byte *. float_of_int (packet_bytes ctx src_version))
-                  else acc + cost.header_copy
-              | Tables.Distribute { targets; _ } ->
-                  acc + (cost.ring_enqueue * List.length targets))
-            0 actions
-        in
-        (* A single send attempt; [false] = downstream full, retry later. *)
-        let send_to_merge (d : delivery) () =
-          match !agent_core with
-          | Some agent -> Nfp_sim.Server.offer agent d
-          | None ->
-              Nfp_sim.Server.offer
-                !merger_cores.(slot_of_pid (Context.pid d.ctx) (Array.length !merger_cores))
-                d
-        in
-        let send_to_nf name ctx () =
-          match Hashtbl.find_opt nf_cores (Context.mid ctx, name) with
-          | Some core -> Nfp_sim.Server.offer core ctx
-          | None -> invalid_arg (Printf.sprintf "System: FT references unknown NF %S" name)
-        in
-        (* Execute an action list: copies happen now; distributes become a
-           retryable emission worklist. *)
-        let emission_of_actions ~self ctx actions =
-          let sends =
-            List.concat_map
-              (function
-                | Tables.Copy { src_version; dst_version; full } ->
-                    ignore (Context.copy ctx ~src:src_version ~dst:dst_version ~full);
-                    []
-                | Tables.Distribute { version; targets } ->
-                    List.map
-                      (fun target () ->
-                        match target with
-                        | Tables.To_nf n -> send_to_nf n ctx ()
-                        | Tables.To_merger id ->
-                            send_to_merge
-                              { ctx; merge_id = id; deliverer = self; version; nil = false }
-                              ()
-                        | Tables.Deliver ->
-                            (match Context.get ctx version with
-                            | Some pkt ->
-                                deliver_out ~version ~pid:(Context.pid ctx) pkt
-                            | None -> ());
-                            true)
-                      targets)
-              actions
+    (* One slot per NF, in nf_impls order: its replica cores (index
+       0 is the historical single instance, further indices are RSS
+       shards or elastic standbys), their NF instances, recovery
+       cells, bypass flags and link channels, and its steering. *)
+    let slots : Elastic.slot array ref = ref [||] in
+    let merger_cores : cdelivery Nfp_sim.Server.t array ref = ref [||] in
+    let agent_core : cdelivery Nfp_sim.Server.t option ref = ref None in
+    (* Channels into the merger ports ("merger#i", "merger-agent");
+       built with the merger cores below. A Down merger link detours
+       straight into the destination ring off-core — the merge
+       accumulation cannot be skipped, only the fabric can. *)
+    let merger_channels : cdelivery Channel.t option array ref = ref [||] in
+    let agent_channel : cdelivery Channel.t option ref = ref None in
+    let offer_merger i (d : cdelivery) =
+      Channel.offer !merger_channels.(i) !merger_cores.(i) d
+    in
+    let route_merge (d : cdelivery) =
+      match !agent_core with
+      | Some agent -> Channel.offer !agent_channel agent d
+      | None ->
+          offer_merger
+            (slot_of_pid (Context.pid d.d_ctx) (Array.length !merger_cores))
+            d
+    in
+    (* NF slots: dense indices in nf_impls order. *)
+    let slot_of : (int * string, int) Hashtbl.t = Hashtbl.create 16 in
+    List.iteri
+      (fun i (mid, (e : Tables.nf_entry), _) -> Hashtbl.replace slot_of (mid, e.nf) i)
+      nf_impls;
+    (* Merge specs per plan, in arrays indexed by merge id. *)
+    let cmerge_table =
+      Array.mapi
+        (fun i (_, (plan : Tables.plan), _) ->
+          let mid = i + 1 in
+          let max_id =
+            List.fold_left (fun a (m : Tables.merge_spec) -> max a m.id) (-1) plan.merges
           in
-          emitter sends
-        in
-        (* One core per NF: the NF plus its runtime (paper §6: the runtime
-           shares the CPU core with the NF). *)
-        List.iter
-          (fun (mid, (entry : Tables.nf_entry), (nf : Nfp_nf.Nf.t)) ->
-            let service_ns ctx =
-              let nf_cycles =
-                match Context.get ctx entry.version with
-                | Some pkt -> nf.cost_cycles pkt
-                | None -> 0
-              in
-              Nfp_sim.Cost.ns_of_cycles cost
-                (cost.ring_dequeue + cost.nf_runtime + nf_cycles
-               + action_cost ctx entry.actions)
-            in
-            let execute ctx =
-              match Context.get ctx entry.version with
-              | None -> const_true
-              | Some pkt -> (
-                  (* A crashing NF must not take the dataplane down: the
-                     packet is treated as dropped (with a nil where a merger
-                     expects this branch) and the fault is logged. *)
-                  let verdict =
-                    try nf.process pkt
-                    with exn ->
-                      Log.warn (fun m ->
-                          m "NF %s crashed on packet %Ld: %s" entry.nf (Context.pid ctx)
-                            (Printexc.to_string exn));
-                      Nfp_nf.Nf.Dropped
-                  in
-                  match verdict with
-                  | Nfp_nf.Nf.Forward ->
-                      emission_of_actions ~self:(Tables.D_nf entry.nf) ctx entry.actions
-                  | Nfp_nf.Nf.Dropped -> (
-                      match entry.nil_target with
-                      | Some id ->
-                          emitter
-                            [
-                              send_to_merge
-                                {
-                                  ctx;
-                                  merge_id = id;
-                                  deliverer = Tables.D_nf entry.nf;
-                                  version = entry.version;
-                                  nil = true;
-                                };
-                            ]
-                      | None ->
-                          incr nf_drops;
-                          const_true))
-            in
-            let core =
-              Nfp_sim.Server.create ~engine
-                ~name:(Printf.sprintf "mid%d:%s" mid entry.nf)
-                ~ring_capacity:config.ring_capacity ~batch ~burst_saving_ns
-                ~jitter:(jitter_for ()) ~service_ns ~execute ()
-            in
-            replica_layout := (mid, entry, [| nf |], [| core |]) :: !replica_layout;
-            Hashtbl.replace nf_cores (mid, entry.nf) core)
-          nf_impls;
-        (* Merger instances: shared across service graphs (paper §5.3: "a
-           merger instance can merge any packet from any service graph"),
-           each with a private accumulating table keyed by MID and PID. *)
-        let make_merger index =
-          let at : (int * int * int64, at_entry) Hashtbl.t = Hashtbl.create 1024 in
-          let spec_of mid id =
-            match Tables.find_merge (plan_of_mid mid) id with
-            | Some s -> s
-            | None -> invalid_arg "System: delivery references unknown merge point"
-          in
-          let branch_of spec (deliverer : Tables.deliverer) =
-            List.find_opt
-              (fun (e : Tables.expect) ->
-                e.deliverer = deliverer
-                || match deliverer with Tables.D_nf n -> List.mem n e.members | _ -> false)
-              spec.Tables.expected
-          in
-          let service_ns (d : delivery) =
-            let spec = spec_of (Context.mid d.ctx) d.merge_id in
-            let branches = List.length spec.expected in
-            let completion =
-              (List.length spec.ops * cost.merge_op) + action_cost d.ctx spec.next
-            in
-            Nfp_sim.Cost.ns_of_cycles cost
-              (cost.ring_dequeue + cost.merge_delivery + (completion / max 1 branches))
-          in
-          let execute (d : delivery) =
-            let mid = Context.mid d.ctx in
-            let spec = spec_of mid d.merge_id in
-            let key = (mid, d.merge_id, Context.pid d.ctx) in
-            let entry =
-              match Hashtbl.find_opt at key with
-              | Some e -> e
-              | None ->
-                  let e = { received = 0; nil_from = [] } in
-                  Hashtbl.replace at key e;
-                  e
-            in
-            entry.received <- entry.received + 1;
-            if d.nil then entry.nil_from <- d.deliverer :: entry.nil_from;
-            if entry.received < List.length spec.expected then const_true
-            else begin
-              Hashtbl.remove at key;
-              let nil_branches =
-                List.filter_map (fun del -> branch_of spec del) entry.nil_from
-              in
-              let dropped =
-                match spec.drop_policy with
-                | `Any -> nil_branches <> []
-                | `Priority_to winner -> (
-                    match branch_of spec winner with
-                    | Some wb -> List.exists (fun (b : Tables.expect) -> b = wb) nil_branches
-                    | None -> nil_branches <> [])
-              in
-              if dropped then begin
-                (* Propagate a nil upward when an enclosing merger expects this
-                   branch; otherwise the packet dies here. *)
-                let nil_sends =
-                  List.concat_map
-                    (function
-                      | Tables.Distribute { version; targets } ->
-                          List.filter_map
-                            (function
-                              | Tables.To_merger outer ->
-                                  Some
-                                    (send_to_merge
-                                       {
-                                         ctx = d.ctx;
-                                         merge_id = outer;
-                                         deliverer = Tables.D_merger d.merge_id;
-                                         version;
-                                         nil = true;
-                                       })
-                              | Tables.To_nf _ | Tables.Deliver -> None)
-                            targets
-                      | Tables.Copy _ -> [])
-                    spec.next
-                in
-                if nil_sends = [] then incr nf_drops;
-                emitter nil_sends
-              end
-              else begin
-                (* Versions from branches that dropped under a priority policy
-                   are half-processed; their ops are skipped. *)
-                let nil_versions =
-                  List.map (fun (b : Tables.expect) -> b.version) nil_branches
-                in
-                let get v =
-                  if List.mem v nil_versions && v <> spec.result_version then None
-                  else Context.get d.ctx v
-                in
-                List.iter (fun op -> Merge_op.apply op ~get) spec.ops;
-                emission_of_actions ~self:(Tables.D_merger d.merge_id) d.ctx spec.next
-              end
-            end
-          in
-          Nfp_sim.Server.create ~engine
-            ~name:(Printf.sprintf "merger#%d" index)
-            ~ring_capacity:config.ring_capacity ~batch ~burst_saving_ns ~jitter:(jitter_for ())
-            ~service_ns ~execute ()
-        in
-        merger_cores := Array.init (max 1 config.mergers) make_merger;
-        (* The merger agent: hash the immutable PID, steer to an instance. *)
-        if config.mergers > 1 then begin
-          let instances = !merger_cores in
-          let service_ns _ =
-            Nfp_sim.Cost.ns_of_cycles cost
-              (cost.ring_dequeue + cost.merger_agent + cost.ring_enqueue)
-          in
-          let execute (d : delivery) =
-            let i = slot_of_pid (Context.pid d.ctx) (Array.length instances) in
-            emitter [ (fun () -> Nfp_sim.Server.offer instances.(i) d) ]
-          in
-          agent_core :=
-            Some
-              (Nfp_sim.Server.create ~engine ~name:"merger-agent"
-                 ~ring_capacity:config.ring_capacity ~batch ~burst_saving_ns
-                 ~jitter:(jitter_for ()) ~service_ns ~execute ())
-        end;
-        let classifier =
-          let service_ns (ctx : Context.t) =
-            let actions = (plan_of_mid (Context.mid ctx)).classifier_actions in
-            Nfp_sim.Cost.ns_of_cycles cost (cost.classifier + action_cost ctx actions)
-          in
-          let execute ctx =
-            emission_of_actions ~self:(Tables.D_nf "classifier") ctx
-              (plan_of_mid (Context.mid ctx)).classifier_actions
-          in
-          Nfp_sim.Server.create ~engine ~name:"classifier"
-            ~ring_capacity:config.ring_capacity ~batch ~burst_saving_ns ~jitter:(jitter_for ())
-            ~service_ns ~execute ()
-        in
-        let sampler () =
-          stats_of_server classifier
-          :: (Hashtbl.fold (fun _ core acc -> stats_of_server core :: acc) nf_cores []
-             |> List.sort (fun a b -> compare a.core b.core))
-          @ Array.to_list (Array.map stats_of_server !merger_cores)
-          @ (match !agent_core with Some a -> [ stats_of_server a ] | None -> [])
-        in
-        (classifier, sampler, Elastic.off)
-    | `Compiled ->
-        (* ----------------- compiled construction ------------------- *)
-        (* One slot per NF, in nf_impls order: its replica cores (index
-           0 is the historical single instance, further indices are RSS
-           shards or elastic standbys), their NF instances, recovery
-           cells, bypass flags and link channels, and its steering. *)
-        let slots : Elastic.slot array ref = ref [||] in
-        let merger_cores : cdelivery Nfp_sim.Server.t array ref = ref [||] in
-        let agent_core : cdelivery Nfp_sim.Server.t option ref = ref None in
-        (* Channels into the merger ports ("merger#i", "merger-agent");
-           built with the merger cores below. A Down merger link detours
-           straight into the destination ring off-core — the merge
-           accumulation cannot be skipped, only the fabric can. *)
-        let merger_channels : cdelivery Channel.t option array ref = ref [||] in
-        let agent_channel : cdelivery Channel.t option ref = ref None in
-        let offer_merger i (d : cdelivery) =
-          Channel.offer !merger_channels.(i) !merger_cores.(i) d
-        in
-        let route_merge (d : cdelivery) =
-          match !agent_core with
-          | Some agent -> Channel.offer !agent_channel agent d
-          | None ->
-              offer_merger
-                (slot_of_pid (Context.pid d.d_ctx) (Array.length !merger_cores))
-                d
-        in
-        (* NF slots: dense indices in nf_impls order. *)
-        let slot_of : (int * string, int) Hashtbl.t = Hashtbl.create 16 in
-        List.iteri
-          (fun i (mid, (e : Tables.nf_entry), _) -> Hashtbl.replace slot_of (mid, e.nf) i)
-          nf_impls;
-        (* Merge specs per plan, in arrays indexed by merge id. *)
-        let cmerge_table =
-          Array.mapi
-            (fun i (_, (plan : Tables.plan), _) ->
-              let mid = i + 1 in
-              let max_id =
-                List.fold_left (fun a (m : Tables.merge_spec) -> max a m.id) (-1) plan.merges
-              in
-              let arr = Array.make (max_id + 1) None in
-              List.iter
-                (fun (spec : Tables.merge_spec) ->
-                  let drop_any, winner =
-                    match spec.drop_policy with
-                    | `Any -> (true, -1)
-                    | `Priority_to w ->
-                        let b = branch_index spec w in
-                        (b < 0, b)
-                  in
-                  arr.(spec.id) <-
-                    Some
-                      {
-                        m_mid = mid;
-                        m_id = spec.id;
-                        m_spec = spec;
-                        m_expected = List.length spec.expected;
-                        m_versions =
-                          Array.of_list
-                            (List.map (fun (e : Tables.expect) -> e.version) spec.expected);
-                        m_result_version = spec.result_version;
-                        m_ops = Array.of_list spec.ops;
-                        m_drop_any = drop_any;
-                        m_winner = winner;
-                        m_next = empty_prog;
-                        m_nil_sends = [||];
-                        m_completion_static = 0;
-                      })
-                plan.merges;
-              arr)
-            table
-        in
-        let lookup_merge mid id =
-          let arr = cmerge_table.(mid - 1) in
-          if id < 0 || id >= Array.length arr then
-            invalid_arg "System: delivery references unknown merge point"
-          else
-            match arr.(id) with
-            | Some m -> m
-            | None -> invalid_arg "System: delivery references unknown merge point"
-        in
-        let compile_actions ~mid ~(self : Tables.deliverer) actions =
-          let copies = ref [] and sends = ref [] in
-          let static = ref 0 and full_srcs = ref [] in
+          let arr = Array.make (max_id + 1) None in
           List.iter
-            (function
-              | Tables.Copy { src_version; dst_version; full } ->
-                  copies := { c_src = src_version; c_dst = dst_version; c_full = full } :: !copies;
-                  if full then begin
-                    static := !static + cost.copy_base;
-                    full_srcs := src_version :: !full_srcs
-                  end
-                  else static := !static + cost.header_copy
-              | Tables.Distribute { version; targets } ->
-                  static := !static + (cost.ring_enqueue * List.length targets);
-                  List.iter
-                    (fun target ->
-                      let s =
-                        match target with
-                        | Tables.To_nf n -> (
-                            match Hashtbl.find_opt slot_of (mid, n) with
-                            | Some i -> S_nf i
-                            | None ->
-                                invalid_arg
-                                  (Printf.sprintf "System: FT references unknown NF %S" n))
-                        | Tables.To_merger id ->
-                            let m = lookup_merge mid id in
-                            S_merge
-                              { merge = m; branch = branch_index m.m_spec self; nil = false }
-                        | Tables.Deliver -> S_deliver version
-                      in
-                      sends := s :: !sends)
-                    targets)
-            actions;
-          {
-            p_copies = Array.of_list (List.rev !copies);
-            p_sends = Array.of_list (List.rev !sends);
-            p_static = !static;
-            p_full_srcs = Array.of_list (List.rev !full_srcs);
-          }
-        in
-        (* Second pass: merge continuations (may reference sibling or
-           enclosing merges, which all exist now). *)
-        Array.iteri
-          (fun i arr ->
-            let mid = i + 1 in
-            Array.iter
-              (function
-                | None -> ()
-                | Some m ->
-                    let spec = m.m_spec in
-                    m.m_next <- compile_actions ~mid ~self:(Tables.D_merger m.m_id) spec.next;
-                    m.m_completion_static <-
-                      (Array.length m.m_ops * cost.merge_op) + m.m_next.p_static;
-                    m.m_nil_sends <-
-                      Array.of_list
-                        (List.concat_map
-                           (function
-                             | Tables.Distribute { version = _; targets } ->
-                                 List.filter_map
-                                   (function
-                                     | Tables.To_merger outer ->
-                                         let om = lookup_merge mid outer in
-                                         Some
-                                           (S_merge
-                                              {
-                                                merge = om;
-                                                branch =
-                                                  branch_index om.m_spec
-                                                    (Tables.D_merger m.m_id);
-                                                nil = true;
-                                              })
-                                     | Tables.To_nf _ | Tables.Deliver -> None)
-                                   targets
-                             | Tables.Copy _ -> [])
-                           spec.next))
-              arr)
-          cmerge_table;
-        (* The one NF-slot router, behind every send site and every NF
-           link channel ([Elastic.route] picks the replica). [via] is
-           the replica whose link channel is releasing [ctx], or -1 at a
-           send site: a released packet enters the ring directly. A
-           bypassed replica is out of the graph: the slot's action
-           program runs immediately instead, and [drive] absorbs that
-           emission's backpressure. *)
-        let rec send_nf slot ~via ctx =
-          let s = !slots.(slot) in
-          let r = Elastic.route s ~via ctx in
-          if s.bypassed.(r) then begin
-            incr bypassed_packets;
-            s.skip ctx;
-            true
-          end
-          else Channel.offer (if via < 0 then s.ports.(r) else None) s.replicas.(r) ctx
-        and send ctx = function
-          | S_nf slot -> send_nf slot ~via:(-1) ctx
-          | S_merge { merge; branch; nil } ->
-              route_merge { d_ctx = ctx; d_merge = merge; d_branch = branch; d_nil = nil }
-          | S_deliver v -> (
-              match Context.get ctx v with
-              | None -> true
-              | Some pkt -> (
-                  match delivery_channel with
-                  | Some ch -> Channel.send ch (v, Context.pid ctx, pkt)
-                  | None ->
-                      deliver_out ~version:v ~pid:(Context.pid ctx) pkt;
-                      true))
-        (* Walk a compiled send array with a cursor; the cursor survives
-           backpressure retries, so each target is offered in order
-           exactly once. A single send needs no cursor: a retry offers
-           the same target again. *)
-        and exec_sends sends ctx =
-          match sends with
-          | [||] -> const_true
-          | [| only |] -> fun () -> send ctx only
-          | _ ->
-              let n = Array.length sends in
-              let cursor = ref 0 in
-              fun () ->
-                let rec go i =
-                  if i >= n then true
-                  else if send ctx sends.(i) then go (i + 1)
-                  else begin
-                    cursor := i;
-                    false
-                  end
-                in
-                go !cursor
-        and exec_prog prog ctx =
-          let copies = prog.p_copies in
-          for i = 0 to Array.length copies - 1 do
-            let c = copies.(i) in
-            ignore (Context.copy ctx ~src:c.c_src ~dst:c.c_dst ~full:c.c_full)
-          done;
-          exec_sends prog.p_sends ctx
-        in
-        let dyn_cycles prog ctx =
-          let srcs = prog.p_full_srcs in
-          let n = Array.length srcs in
-          if n = 0 then 0
-          else begin
-            let acc = ref 0 in
-            for i = 0 to n - 1 do
-              acc :=
-                !acc
-                + int_of_float
-                    (cost.copy_per_byte *. float_of_int (packet_bytes ctx srcs.(i)))
-            done;
-            !acc
-          end
-        in
-        (* NF slots, in nf_impls order (replica 0 first — at replicas=1
-           the same PRNG split order as the interpretive path). Replica 0
-           is the caller's NF instance; further replicas are fresh
-           instances from [Nf.fresh], each with its own state, recovery
-           cell, fault stream and watchdog entry. *)
-        slots :=
-          Array.of_list
-            (List.mapi
-               (fun slot (mid, (entry : Tables.nf_entry), (nf0 : Nfp_nf.Nf.t)) ->
-                 let prog = compile_actions ~mid ~self:(Tables.D_nf entry.nf) entry.actions in
-                 let nil_sends =
-                   match entry.nil_target with
-                   | None -> [||]
-                   | Some id ->
-                       let m = lookup_merge mid id in
-                       [|
-                         S_merge
-                           {
-                             merge = m;
-                             branch = branch_index m.m_spec (Tables.D_nf entry.nf);
-                             nil = true;
-                           };
-                       |]
-                 in
-                 let base = replica_count mid entry.nf in
-                 let steer =
-                   Elastic.steer elastic ~shardable:(fun () -> shardable mid entry.nf) ~base nf0
-                 in
-                 let width = Elastic.width steer ~base in
-                 let bypassed = Array.make width false in
-                 let skip ctx = drive (exec_prog prog ctx) in
-                 let make_replica r (nf : Nfp_nf.Nf.t) jitter =
-                   let cell = Recovery.cell recovery nf in
-                   let static =
-                     cost.ring_dequeue + cost.nf_runtime + prog.p_static + Recovery.log_cycles cell
-                   in
-                   (* Pressure-degrade switch: while this replica's own
-                      ring sits above the watermark, an NF that declares
-                      a degrade mode runs its coarsened semantics at its
-                      coarsened cost. The predicate reads the server
-                      created below (through a cell, to break the
-                      creation cycle); within one breath the ring
-                      occupancy is constant, so pricing and execution
-                      always agree per breath. Without an overload config
-                      (or without a declared mode) [deg] is [None] and
-                      this entire path is dead code. *)
-                   let deg = if degrade_on then nf.Nfp_nf.Nf.degrade else None in
-                   let self_pressured = ref (fun () -> false) in
-                   let deg_active = ref false in
-                   let service_ns ctx =
-                     let nf_cycles =
-                       match Context.get ctx entry.version with
-                       | Some pkt -> (
-                           match deg with
-                           | Some d when !self_pressured () -> d.Nfp_nf.Nf.d_cost_cycles pkt
-                           | _ -> nf.cost_cycles pkt)
-                       | None -> 0
-                     in
-                     Nfp_sim.Cost.ns_of_cycles cost (static + nf_cycles + dyn_cycles prog ctx)
-                   in
-                   let execute ctx =
-                     match Context.get ctx entry.version with
-                     | None -> const_true
-                     | Some pkt -> (
-                         Recovery.log cell pkt;
-                         let degrade_mode =
-                           match deg with
-                           | None -> None
-                           | Some d ->
-                               let p = !self_pressured () in
-                               if p <> !deg_active then begin
-                                 deg_active := p;
-                                 if p then incr degrade_switches
-                               end;
-                               if p then Some d else None
-                         in
-                         let verdict =
-                           try
-                             match degrade_mode with
-                             | Some d ->
-                                 incr degraded_packets;
-                                 d.Nfp_nf.Nf.d_process pkt
-                             | None -> nf.process pkt
-                           with exn ->
-                             Log.warn (fun m ->
-                                 m "NF %s crashed on packet %Ld: %s" entry.nf (Context.pid ctx)
-                                   (Printexc.to_string exn));
-                             Nfp_nf.Nf.Dropped
-                         in
-                         match verdict with
-                         | Nfp_nf.Nf.Forward -> exec_prog prog ctx
-                         | Nfp_nf.Nf.Dropped ->
-                             if Array.length nil_sends > 0 then exec_sends nil_sends ctx
-                             else begin
-                               incr nf_drops;
-                               const_true
-                             end)
-                   in
-                   (* Replica 0 keeps the historical core name; shards get
-                      an @r suffix, so fault plans can target (and crash)
-                      each replica independently. *)
-                   let name =
-                     if r = 0 then Printf.sprintf "mid%d:%s" mid entry.nf
-                     else Printf.sprintf "mid%d:%s@%d" mid entry.nf r
-                   in
-                   (* Bypass recovery: mark the replica, reroute this
-                      core's casualties (the in-flight batch its kill
-                      reclaimed, and any pending emissions) plus the
-                      queued backlog through its action program, so
-                      every packet lands in exactly one ledger bucket and
-                      no merger waits on this branch. Other replicas of
-                      the slot keep processing. *)
-                   let bypass ctx =
-                     incr bypassed_packets;
-                     skip ctx
-                   in
-                   let drain server =
-                     bypassed.(r) <- true;
-                     Nfp_sim.Server.set_casualty_sink server (fun jobs emits ->
-                         List.iter bypass jobs;
-                         List.iter drive emits);
-                     let backlog = Nfp_sim.Server.drain server in
-                     List.iter bypass backlog;
-                     List.length backlog
-                   in
-                   let standby () = Elastic.standby steer r in
-                   let server =
-                     core
-                       ~role:(Recovery.Nf { mid; name = entry.nf; drain; cell; standby })
-                       ~name ~jitter ~service_ns ~execute ()
-                   in
-                   self_pressured := (fun () -> Nfp_sim.Server.pressured server);
-                   (server, cell)
-                 in
-                 let nfs =
-                   Array.init width (fun r ->
-                       if r = 0 then nf0
-                       else
-                         match nf0.Nfp_nf.Nf.fresh with
-                         | Some fresh -> fresh ()
-                         | None -> assert false (* replica_count guarantees fresh *))
-                 in
-                 (* Build replicas in index order ([Array.init] applies
-                    in order): each creation splits the jitter PRNG, and
-                    the replicas=1 trace must keep the historical split
-                    sequence. Standby replicas (index >= the static
-                    count) split the independent elastic stream instead,
-                    leaving the main sequence untouched. *)
-                 let replicas, cells =
-                   Array.split
-                     (Array.init width (fun r ->
-                          let jitter = if r < base then jitter_for () else elastic_jitter_for () in
-                          make_replica r nfs.(r) jitter))
-                 in
-                 replica_layout := (mid, entry, nfs, replicas) :: !replica_layout;
-                 {
-                   Elastic.version = entry.version;
-                   replicas;
-                   nfs;
-                   cells;
-                   bypassed;
-                   skip;
-                   (* Releases go back through the slot router, so a
-                      packet buffered on the link while a migration flips
-                      its bucket, or while the watchdog bypasses the
-                      replica, lands where it would be routed *now*. The
-                      reroute of a Down link runs the slot's action
-                      program off-core, bypass-style. *)
-                   ports =
-                     Array.mapi
-                       (fun r srv ->
-                         channel_for ~name:(Nfp_sim.Server.name srv) ~deliver:(send_nf slot ~via:r)
-                           ~reroute:skip)
-                       replicas;
-                   (* Migration transfers get their own link family:
-                      moved in-flight packets cross the fabric like any
-                      other edge, so a plan can perturb the re-home path
-                      independently of the data path. *)
-                   migrate =
-                     (if Option.is_none steer then [||]
-                      else
-                        Array.map
-                          (fun srv -> channel_to ("migrate:" ^ Nfp_sim.Server.name srv) srv)
-                          replicas);
-                   steer;
-                 })
-               nf_impls);
-        let controller =
-          Elastic.create elastic engine ~fault ~ring_capacity:config.ring_capacity
-            ~busy:(fun () -> Recovery.busy recovery)
-            !slots
-        in
-        (* Merge completion, shared by the full-arrival path and the
-           timeout path. [nil_mask] decides the drop policy; [skip_mask]
-           marks branches whose versions must not feed the merge ops —
-           nil branches (half-processed) and, on a timeout, branches
-           that never arrived. With [skip_mask = nil_mask] this is
-           exactly the pre-timeout completion. *)
-        let complete m ctx ~nil_mask ~skip_mask =
-          let dropped =
-            if m.m_drop_any then nil_mask <> 0 else nil_mask land (1 lsl m.m_winner) <> 0
-          in
-          if dropped then
-            if Array.length m.m_nil_sends = 0 then begin
-              incr nf_drops;
-              const_true
-            end
-            else exec_sends m.m_nil_sends ctx
-          else begin
-            (if skip_mask = 0 then
-               let get v = Context.get ctx v in
-               Array.iter (fun op -> Merge_op.apply op ~get) m.m_ops
-             else begin
-               (* Versions from branches that dropped under a priority
-                  policy are half-processed; their ops are skipped. *)
-               let skip_versions = ref [] in
-               Array.iteri
-                 (fun b v ->
-                   if skip_mask land (1 lsl b) <> 0 then
-                     skip_versions := v :: !skip_versions)
-                 m.m_versions;
-               let svs = !skip_versions in
-               let get v =
-                 if List.mem v svs && v <> m.m_result_version then None
-                 else Context.get ctx v
-               in
-               Array.iter (fun op -> Merge_op.apply op ~get) m.m_ops
-             end);
-            exec_prog m.m_next ctx
-          end
-        in
-        let make_merger index =
-          let at : cat_entry Accumulations.t = Accumulations.create 1024 in
-          (* Completed-merge memory (armed runs only): a branch arriving
-             after its merge already completed — a straggler emitted by
-             a salvaged core after a merge timeout force-completed the
-             accumulation, or a late retransmission of a branch a
-             timeout already nil-substituted — is consumed silently
-             instead of opening a fresh accumulation that would deliver
-             a duplicate. Mergers never see the same (MID, merge, PID)
-             complete twice within the bounded dedup window. *)
-          let done_tbl : (int * int * int64) Dedup.t = Dedup.create dedup_capacity in
-          merger_dedups := done_tbl :: !merger_dedups;
-          let service_ns (d : cdelivery) =
-            let m = d.d_merge in
-            Nfp_sim.Cost.ns_of_cycles cost
-              (cost.ring_dequeue + cost.merge_delivery
-              + ((m.m_completion_static + dyn_cycles m.m_next d.d_ctx) / Int.max 1 m.m_expected)
-              )
-          in
-          let execute (d : cdelivery) =
-            let m = d.d_merge in
-            let key = (m.m_mid, m.m_id, Context.pid d.d_ctx) in
-            if dedup_on && Dedup.mem done_tbl key then begin
-              incr deduped;
-              const_true
-            end
-            else begin
-              let entry =
-                match Accumulations.find_opt at key with
-                | Some e -> e
-                | None ->
-                    let e = { c_received = 0; c_nil_mask = 0; c_arrived_mask = 0 } in
-                    Accumulations.replace at key e;
-                    (* Arm the straggler timeout when this accumulation
-                       opens: if a failed branch never shows up, merge
-                       what did arrive rather than wedge the packet (the
-                       drop policy still applies to arrived nils). *)
-                    if merge_timeout_ns > 0.0 then
-                      Nfp_sim.Engine.schedule engine ~delay:merge_timeout_ns (fun () ->
-                          match Accumulations.find_opt at key with
-                          | Some e' when e' == e ->
-                              Accumulations.remove at key;
-                              if dedup_on then Dedup.add done_tbl key;
-                              incr merge_timeouts;
-                              let missing =
-                                ((1 lsl m.m_expected) - 1) land lnot e.c_arrived_mask
-                              in
-                              drive
-                                (complete m d.d_ctx ~nil_mask:e.c_nil_mask
-                                   ~skip_mask:(e.c_nil_mask lor missing))
-                          | _ -> ());
-                    e
+            (fun (spec : Tables.merge_spec) ->
+              let drop_any, winner =
+                match spec.drop_policy with
+                | `Any -> (true, -1)
+                | `Priority_to w ->
+                    let b = branch_index spec w in
+                    (b < 0, b)
               in
-              entry.c_received <- entry.c_received + 1;
-              if d.d_branch >= 0 then
-                entry.c_arrived_mask <- entry.c_arrived_mask lor (1 lsl d.d_branch);
-              if d.d_nil && d.d_branch >= 0 then
-                entry.c_nil_mask <- entry.c_nil_mask lor (1 lsl d.d_branch);
-              if entry.c_received < m.m_expected then const_true
-              else begin
-                Accumulations.remove at key;
-                if dedup_on then Dedup.add done_tbl key;
-                complete m d.d_ctx ~nil_mask:entry.c_nil_mask ~skip_mask:entry.c_nil_mask
+              arr.(spec.id) <-
+                Some
+                  {
+                    m_mid = mid;
+                    m_id = spec.id;
+                    m_spec = spec;
+                    m_expected = List.length spec.expected;
+                    m_versions =
+                      Array.of_list
+                        (List.map (fun (e : Tables.expect) -> e.version) spec.expected);
+                    m_result_version = spec.result_version;
+                    m_ops = Array.of_list spec.ops;
+                    m_drop_any = drop_any;
+                    m_winner = winner;
+                    m_next = empty_prog;
+                    m_nil_sends = [||];
+                    m_completion_static = 0;
+                  })
+            plan.merges;
+          arr)
+        table
+    in
+    let lookup_merge mid id =
+      let arr = cmerge_table.(mid - 1) in
+      if id < 0 || id >= Array.length arr then
+        invalid_arg "System: delivery references unknown merge point"
+      else
+        match arr.(id) with
+        | Some m -> m
+        | None -> invalid_arg "System: delivery references unknown merge point"
+    in
+    let compile_actions ~mid ~(self : Tables.deliverer) actions =
+      let copies = ref [] and sends = ref [] in
+      let static = ref 0 and full_srcs = ref [] in
+      List.iter
+        (function
+          | Tables.Copy { src_version; dst_version; full } ->
+              copies := { c_src = src_version; c_dst = dst_version; c_full = full } :: !copies;
+              if full then begin
+                static := !static + cost.copy_base;
+                full_srcs := src_version :: !full_srcs
               end
-            end
+              else static := !static + cost.header_copy
+          | Tables.Distribute { version; targets } ->
+              static := !static + (cost.ring_enqueue * List.length targets);
+              List.iter
+                (fun target ->
+                  let s =
+                    match target with
+                    | Tables.To_nf n -> (
+                        match Hashtbl.find_opt slot_of (mid, n) with
+                        | Some i -> S_nf i
+                        | None ->
+                            invalid_arg
+                              (Printf.sprintf "System: FT references unknown NF %S" n))
+                    | Tables.To_merger id ->
+                        let m = lookup_merge mid id in
+                        S_merge
+                          { merge = m; branch = branch_index m.m_spec self; nil = false }
+                    | Tables.Deliver -> S_deliver version
+                  in
+                  sends := s :: !sends)
+                targets)
+        actions;
+      {
+        p_copies = Array.of_list (List.rev !copies);
+        p_sends = Array.of_list (List.rev !sends);
+        p_static = !static;
+        p_full_srcs = Array.of_list (List.rev !full_srcs);
+      }
+    in
+    (* Second pass: merge continuations (may reference sibling or
+       enclosing merges, which all exist now). *)
+    Array.iteri
+      (fun i arr ->
+        let mid = i + 1 in
+        Array.iter
+          (function
+            | None -> ()
+            | Some m ->
+                let spec = m.m_spec in
+                m.m_next <- compile_actions ~mid ~self:(Tables.D_merger m.m_id) spec.next;
+                m.m_completion_static <-
+                  (Array.length m.m_ops * cost.merge_op) + m.m_next.p_static;
+                m.m_nil_sends <-
+                  Array.of_list
+                    (List.concat_map
+                       (function
+                         | Tables.Distribute { version = _; targets } ->
+                             List.filter_map
+                               (function
+                                 | Tables.To_merger outer ->
+                                     let om = lookup_merge mid outer in
+                                     Some
+                                       (S_merge
+                                          {
+                                            merge = om;
+                                            branch =
+                                              branch_index om.m_spec
+                                                (Tables.D_merger m.m_id);
+                                            nil = true;
+                                          })
+                                 | Tables.To_nf _ | Tables.Deliver -> None)
+                               targets
+                         | Tables.Copy _ -> [])
+                       spec.next))
+          arr)
+      cmerge_table;
+    (* The one NF-slot router, behind every send site and every NF
+       link channel ([Elastic.route] picks the replica). [via] is
+       the replica whose link channel is releasing [ctx], or -1 at a
+       send site: a released packet enters the ring directly. A
+       bypassed replica is out of the graph: the slot's action
+       program runs immediately instead, and [drive] absorbs that
+       emission's backpressure. *)
+    let rec send_nf slot ~via ctx =
+      let s = !slots.(slot) in
+      let r = Elastic.route s ~via ctx in
+      if s.bypassed.(r) then begin
+        incr bypassed_packets;
+        s.skip ctx;
+        true
+      end
+      else Channel.offer (if via < 0 then s.ports.(r) else None) s.replicas.(r) ctx
+    and send ctx = function
+      | S_nf slot -> send_nf slot ~via:(-1) ctx
+      | S_merge { merge; branch; nil } ->
+          route_merge { d_ctx = ctx; d_merge = merge; d_branch = branch; d_nil = nil }
+      | S_deliver v -> (
+          match Context.get ctx v with
+          | None -> true
+          | Some pkt -> (
+              match delivery_channel with
+              | Some ch -> Channel.send ch (v, Context.pid ctx, pkt)
+              | None ->
+                  deliver_out ~version:v ~pid:(Context.pid ctx) pkt;
+                  true))
+    (* Walk a compiled send array with a cursor; the cursor survives
+       backpressure retries, so each target is offered in order
+       exactly once. A single send needs no cursor: a retry offers
+       the same target again. *)
+    and exec_sends sends ctx =
+      match sends with
+      | [||] -> const_true
+      | [| only |] -> fun () -> send ctx only
+      | _ ->
+          let n = Array.length sends in
+          let cursor = ref 0 in
+          fun () ->
+            let rec go i =
+              if i >= n then true
+              else if send ctx sends.(i) then go (i + 1)
+              else begin
+                cursor := i;
+                false
+              end
+            in
+            go !cursor
+    and exec_prog prog ctx =
+      let copies = prog.p_copies in
+      for i = 0 to Array.length copies - 1 do
+        let c = copies.(i) in
+        ignore (Context.copy ctx ~src:c.c_src ~dst:c.c_dst ~full:c.c_full)
+      done;
+      exec_sends prog.p_sends ctx
+    in
+    let dyn_cycles prog ctx =
+      let srcs = prog.p_full_srcs in
+      let n = Array.length srcs in
+      if n = 0 then 0
+      else begin
+        let acc = ref 0 in
+        for i = 0 to n - 1 do
+          acc :=
+            !acc
+            + int_of_float
+                (cost.copy_per_byte *. float_of_int (packet_bytes ctx srcs.(i)))
+        done;
+        !acc
+      end
+    in
+    (* NF slots, in nf_impls order, replica 0 first. Replica 0 is the
+       caller's NF instance; further replicas are fresh instances from
+       [Nf.fresh], each with its own state, recovery cell, fault stream
+       and watchdog entry. *)
+    slots :=
+      Array.of_list
+        (List.mapi
+           (fun slot (mid, (entry : Tables.nf_entry), (nf0 : Nfp_nf.Nf.t)) ->
+             let prog = compile_actions ~mid ~self:(Tables.D_nf entry.nf) entry.actions in
+             let nil_sends =
+               match entry.nil_target with
+               | None -> [||]
+               | Some id ->
+                   let m = lookup_merge mid id in
+                   [|
+                     S_merge
+                       {
+                         merge = m;
+                         branch = branch_index m.m_spec (Tables.D_nf entry.nf);
+                         nil = true;
+                       };
+                   |]
+             in
+             let base = replica_count mid entry.nf in
+             let steer =
+               Elastic.steer elastic ~shardable:(fun () -> shardable mid entry.nf) ~base nf0
+             in
+             let width = Elastic.width steer ~base in
+             let bypassed = Array.make width false in
+             let skip ctx = drive (exec_prog prog ctx) in
+             let make_replica r (nf : Nfp_nf.Nf.t) jitter =
+               let cell = Recovery.cell recovery nf in
+               let static =
+                 cost.ring_dequeue + cost.nf_runtime + prog.p_static + Recovery.log_cycles cell
+               in
+               (* Pressure-degrade switch: while this replica's own
+                  ring sits above the watermark, an NF that declares
+                  a degrade mode runs its coarsened semantics at its
+                  coarsened cost. The predicate reads the server
+                  created below (through a cell, to break the
+                  creation cycle); within one breath the ring
+                  occupancy is constant, so pricing and execution
+                  always agree per breath. Without an overload config
+                  (or without a declared mode) [deg] is [None] and
+                  this entire path is dead code. *)
+               let deg = if degrade_on then nf.Nfp_nf.Nf.degrade else None in
+               let self_pressured = ref (fun () -> false) in
+               let deg_active = ref false in
+               let service_ns ctx =
+                 let nf_cycles =
+                   match Context.get ctx entry.version with
+                   | Some pkt -> (
+                       match deg with
+                       | Some d when !self_pressured () -> d.Nfp_nf.Nf.d_cost_cycles pkt
+                       | _ -> nf.cost_cycles pkt)
+                   | None -> 0
+                 in
+                 Nfp_sim.Cost.ns_of_cycles cost (static + nf_cycles + dyn_cycles prog ctx)
+               in
+               let execute ctx =
+                 match Context.get ctx entry.version with
+                 | None -> const_true
+                 | Some pkt -> (
+                     Recovery.log cell pkt;
+                     let degrade_mode =
+                       match deg with
+                       | None -> None
+                       | Some d ->
+                           let p = !self_pressured () in
+                           if p <> !deg_active then begin
+                             deg_active := p;
+                             if p then incr degrade_switches
+                           end;
+                           if p then Some d else None
+                     in
+                     let verdict =
+                       try
+                         match degrade_mode with
+                         | Some d ->
+                             incr degraded_packets;
+                             d.Nfp_nf.Nf.d_process pkt
+                         | None -> nf.process pkt
+                       with exn ->
+                         Log.warn (fun m ->
+                             m "NF %s crashed on packet %Ld: %s" entry.nf (Context.pid ctx)
+                               (Printexc.to_string exn));
+                         Nfp_nf.Nf.Dropped
+                     in
+                     match verdict with
+                     | Nfp_nf.Nf.Forward -> exec_prog prog ctx
+                     | Nfp_nf.Nf.Dropped ->
+                         if Array.length nil_sends > 0 then exec_sends nil_sends ctx
+                         else begin
+                           incr nf_drops;
+                           const_true
+                         end)
+               in
+               (* Replica 0 keeps the historical core name; shards get
+                  an @r suffix, so fault plans can target (and crash)
+                  each replica independently. *)
+               let name =
+                 if r = 0 then Printf.sprintf "mid%d:%s" mid entry.nf
+                 else Printf.sprintf "mid%d:%s@%d" mid entry.nf r
+               in
+               (* Bypass recovery: mark the replica, reroute this
+                  core's casualties (the in-flight batch its kill
+                  reclaimed, and any pending emissions) plus the
+                  queued backlog through its action program, so
+                  every packet lands in exactly one ledger bucket and
+                  no merger waits on this branch. Other replicas of
+                  the slot keep processing. *)
+               let bypass ctx =
+                 incr bypassed_packets;
+                 skip ctx
+               in
+               let drain server =
+                 bypassed.(r) <- true;
+                 Nfp_sim.Server.set_casualty_sink server (fun jobs emits ->
+                     List.iter bypass jobs;
+                     List.iter drive emits);
+                 let backlog = Nfp_sim.Server.drain server in
+                 List.iter bypass backlog;
+                 List.length backlog
+               in
+               let standby () = Elastic.standby steer r in
+               let server =
+                 core
+                   ~role:(Recovery.Nf { mid; name = entry.nf; drain; cell; standby })
+                   ~name ~jitter ~service_ns ~execute ()
+               in
+               self_pressured := (fun () -> Nfp_sim.Server.pressured server);
+               (server, cell)
+             in
+             let nfs =
+               Array.init width (fun r ->
+                   if r = 0 then nf0
+                   else
+                     match nf0.Nfp_nf.Nf.fresh with
+                     | Some fresh -> fresh ()
+                     | None -> assert false (* replica_count guarantees fresh *))
+             in
+             (* Build replicas in index order ([Array.init] applies
+                in order): each creation splits the jitter PRNG, and
+                the replicas=1 trace must keep the historical split
+                sequence. Standby replicas (index >= the static
+                count) split the independent elastic stream instead,
+                leaving the main sequence untouched. *)
+             let replicas, cells =
+               Array.split
+                 (Array.init width (fun r ->
+                      let jitter = if r < base then jitter_for () else elastic_jitter_for () in
+                      make_replica r nfs.(r) jitter))
+             in
+             replica_layout := (mid, entry, nfs, replicas) :: !replica_layout;
+             {
+               Elastic.version = entry.version;
+               replicas;
+               nfs;
+               cells;
+               bypassed;
+               skip;
+               (* Releases go back through the slot router, so a
+                  packet buffered on the link while a migration flips
+                  its bucket, or while the watchdog bypasses the
+                  replica, lands where it would be routed *now*. The
+                  reroute of a Down link runs the slot's action
+                  program off-core, bypass-style. *)
+               ports =
+                 Array.mapi
+                   (fun r srv ->
+                     channel_for ~name:(Nfp_sim.Server.name srv) ~deliver:(send_nf slot ~via:r)
+                       ~reroute:skip)
+                   replicas;
+               (* Migration transfers get their own link family:
+                  moved in-flight packets cross the fabric like any
+                  other edge, so a plan can perturb the re-home path
+                  independently of the data path. *)
+               migrate =
+                 (if Option.is_none steer then [||]
+                  else
+                    Array.map
+                      (fun srv -> channel_to ("migrate:" ^ Nfp_sim.Server.name srv) srv)
+                      replicas);
+               steer;
+             })
+           nf_impls);
+    let controller =
+      Elastic.create elastic engine ~fault ~ring_capacity:config.ring_capacity
+        ~busy:(fun () -> Recovery.busy recovery)
+        !slots
+    in
+    (* Merge completion, shared by the full-arrival path and the
+       timeout path. [nil_mask] decides the drop policy; [skip_mask]
+       marks branches whose versions must not feed the merge ops —
+       nil branches (half-processed) and, on a timeout, branches
+       that never arrived. With [skip_mask = nil_mask] this is
+       exactly the pre-timeout completion. *)
+    let complete m ctx ~nil_mask ~skip_mask =
+      let dropped =
+        if m.m_drop_any then nil_mask <> 0 else nil_mask land (1 lsl m.m_winner) <> 0
+      in
+      if dropped then
+        if Array.length m.m_nil_sends = 0 then begin
+          incr nf_drops;
+          const_true
+        end
+        else exec_sends m.m_nil_sends ctx
+      else begin
+        (if skip_mask = 0 then
+           let get v = Context.get ctx v in
+           Array.iter (fun op -> Merge_op.apply op ~get) m.m_ops
+         else begin
+           (* Versions from branches that dropped under a priority
+              policy are half-processed; their ops are skipped. *)
+           let skip_versions = ref [] in
+           Array.iteri
+             (fun b v ->
+               if skip_mask land (1 lsl b) <> 0 then
+                 skip_versions := v :: !skip_versions)
+             m.m_versions;
+           let svs = !skip_versions in
+           let get v =
+             if List.mem v svs && v <> m.m_result_version then None
+             else Context.get ctx v
+           in
+           Array.iter (fun op -> Merge_op.apply op ~get) m.m_ops
+         end);
+        exec_prog m.m_next ctx
+      end
+    in
+    let make_merger index =
+      let at : cat_entry Accumulations.t = Accumulations.create 1024 in
+      (* Completed-merge memory (armed runs only): a branch arriving
+         after its merge already completed — a straggler emitted by
+         a salvaged core after a merge timeout force-completed the
+         accumulation, or a late retransmission of a branch a
+         timeout already nil-substituted — is consumed silently
+         instead of opening a fresh accumulation that would deliver
+         a duplicate. Mergers never see the same (MID, merge, PID)
+         complete twice within the bounded dedup window. *)
+      let done_tbl : (int * int * int64) Dedup.t = Dedup.create dedup_capacity in
+      merger_dedups := done_tbl :: !merger_dedups;
+      let service_ns (d : cdelivery) =
+        let m = d.d_merge in
+        Nfp_sim.Cost.ns_of_cycles cost
+          (cost.ring_dequeue + cost.merge_delivery
+          + ((m.m_completion_static + dyn_cycles m.m_next d.d_ctx) / Int.max 1 m.m_expected)
+          )
+      in
+      let execute (d : cdelivery) =
+        let m = d.d_merge in
+        let key = (m.m_mid, m.m_id, Context.pid d.d_ctx) in
+        if dedup_on && Dedup.mem done_tbl key then begin
+          incr deduped;
+          const_true
+        end
+        else begin
+          let entry =
+            match Accumulations.find_opt at key with
+            | Some e -> e
+            | None ->
+                let e = { c_received = 0; c_nil_mask = 0; c_arrived_mask = 0 } in
+                Accumulations.replace at key e;
+                (* Arm the straggler timeout when this accumulation
+                   opens: if a failed branch never shows up, merge
+                   what did arrive rather than wedge the packet (the
+                   drop policy still applies to arrived nils). *)
+                if merge_timeout_ns > 0.0 then
+                  Nfp_sim.Engine.schedule engine ~delay:merge_timeout_ns (fun () ->
+                      match Accumulations.find_opt at key with
+                      | Some e' when e' == e ->
+                          Accumulations.remove at key;
+                          if dedup_on then Dedup.add done_tbl key;
+                          incr merge_timeouts;
+                          let missing =
+                            ((1 lsl m.m_expected) - 1) land lnot e.c_arrived_mask
+                          in
+                          drive
+                            (complete m d.d_ctx ~nil_mask:e.c_nil_mask
+                               ~skip_mask:(e.c_nil_mask lor missing))
+                      | _ -> ());
+                e
           in
-          core
-            ~name:(Printf.sprintf "merger#%d" index)
-            ~jitter:(jitter_for ()) ~service_ns ~execute ()
-        in
-        merger_cores := Array.init (max 1 config.mergers) make_merger;
-        merger_channels :=
-          Array.map (fun srv -> channel_to (Nfp_sim.Server.name srv) srv) !merger_cores;
-        if config.mergers > 1 then begin
-          let instances = !merger_cores in
-          let service_ns _ =
-            Nfp_sim.Cost.ns_of_cycles cost
-              (cost.ring_dequeue + cost.merger_agent + cost.ring_enqueue)
-          in
-          let execute (d : cdelivery) =
-            let i = slot_of_pid (Context.pid d.d_ctx) (Array.length instances) in
-            fun () -> offer_merger i d
-          in
-          let agent =
-            core ~name:"merger-agent" ~jitter:(jitter_for ()) ~service_ns ~execute ()
-          in
-          agent_channel := channel_to "merger-agent" agent;
-          agent_core := Some agent
-        end;
-        let classifier_progs =
-          Array.init (Array.length table) (fun i ->
-              compile_actions ~mid:(i + 1) ~self:(Tables.D_nf "classifier")
-                (plan_of_mid (i + 1)).classifier_actions)
-        in
-        let classifier =
-          let service_ns (ctx : Context.t) =
-            let prog = classifier_progs.(Context.mid ctx - 1) in
-            Nfp_sim.Cost.ns_of_cycles cost
-              (cost.classifier + prog.p_static + dyn_cycles prog ctx)
-          in
-          let execute ctx = exec_prog classifier_progs.(Context.mid ctx - 1) ctx in
-          core ~name:"classifier" ~jitter:(jitter_for ()) ~service_ns ~execute ()
-        in
-        let sampler () =
-          stats_of_server classifier
-          :: (Array.to_list
-                (Array.concat (List.map (fun (s : Elastic.slot) -> s.replicas) (Array.to_list !slots)))
-             |> List.map stats_of_server
-             |> List.sort (fun a b -> compare a.core b.core))
-          @ Array.to_list (Array.map stats_of_server !merger_cores)
-          @ (match !agent_core with Some a -> [ stats_of_server a ] | None -> [])
-        in
-        (classifier, sampler, controller)
+          entry.c_received <- entry.c_received + 1;
+          if d.d_branch >= 0 then
+            entry.c_arrived_mask <- entry.c_arrived_mask lor (1 lsl d.d_branch);
+          if d.d_nil && d.d_branch >= 0 then
+            entry.c_nil_mask <- entry.c_nil_mask lor (1 lsl d.d_branch);
+          if entry.c_received < m.m_expected then const_true
+          else begin
+            Accumulations.remove at key;
+            if dedup_on then Dedup.add done_tbl key;
+            complete m d.d_ctx ~nil_mask:entry.c_nil_mask ~skip_mask:entry.c_nil_mask
+          end
+        end
+      in
+      core
+        ~name:(Printf.sprintf "merger#%d" index)
+        ~jitter:(jitter_for ()) ~service_ns ~execute ()
+    in
+    merger_cores := Array.init (max 1 config.mergers) make_merger;
+    merger_channels :=
+      Array.map (fun srv -> channel_to (Nfp_sim.Server.name srv) srv) !merger_cores;
+    if config.mergers > 1 then begin
+      let instances = !merger_cores in
+      let service_ns _ =
+        Nfp_sim.Cost.ns_of_cycles cost
+          (cost.ring_dequeue + cost.merger_agent + cost.ring_enqueue)
+      in
+      let execute (d : cdelivery) =
+        let i = slot_of_pid (Context.pid d.d_ctx) (Array.length instances) in
+        fun () -> offer_merger i d
+      in
+      let agent =
+        core ~name:"merger-agent" ~jitter:(jitter_for ()) ~service_ns ~execute ()
+      in
+      agent_channel := channel_to "merger-agent" agent;
+      agent_core := Some agent
+    end;
+    let classifier_progs =
+      Array.init (Array.length table) (fun i ->
+          compile_actions ~mid:(i + 1) ~self:(Tables.D_nf "classifier")
+            (plan_of_mid (i + 1)).classifier_actions)
+    in
+    let classifier =
+      let service_ns (ctx : Context.t) =
+        let prog = classifier_progs.(Context.mid ctx - 1) in
+        Nfp_sim.Cost.ns_of_cycles cost
+          (cost.classifier + prog.p_static + dyn_cycles prog ctx)
+      in
+      let execute ctx = exec_prog classifier_progs.(Context.mid ctx - 1) ctx in
+      core ~name:"classifier" ~jitter:(jitter_for ()) ~service_ns ~execute ()
+    in
+    let sampler () =
+      stats_of_server classifier
+      :: (Array.to_list
+            (Array.concat (List.map (fun (s : Elastic.slot) -> s.replicas) (Array.to_list !slots)))
+         |> List.map stats_of_server
+         |> List.sort (fun a b -> compare a.core b.core))
+      @ Array.to_list (Array.map stats_of_server !merger_cores)
+      @ (match !agent_core with Some a -> [ stats_of_server a ] | None -> [])
+    in
+    (classifier, sampler, controller)
   in
   (* Classifier front end: CT match, metadata tagging, first-hop actions.
      Unmatched packets are discarded (no service graph owns them) and
@@ -1562,8 +1246,8 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
     health;
   }
 
-let make ?path ?classify ?config ?fault ?overload ?elastic ?links ?stats ?replication
-    ~plan ~nfs engine ~output =
-  make_multi ?path ?classify ?config ?fault ?overload ?elastic ?links ?stats ?replication
+let make ?classify ?config ?fault ?overload ?elastic ?links ?stats ?replication ~plan
+    ~nfs engine ~output =
+  make_multi ?classify ?config ?fault ?overload ?elastic ?links ?stats ?replication
     ~graphs:[ (Flow_match.any, plan, nfs) ]
     engine ~output

@@ -14,9 +14,6 @@ include module type of struct
 end
 (** The deployment knobs and their defaults (see {!Config}). *)
 
-val core_count : config -> Nfp_core.Tables.plan -> int
-(** Cores the deployment uses: classifier + NFs + mergers (+ agent). *)
-
 type core_stats = {
   core : string;
       (** classifier, mid<k>:<nf> (replica 0), mid<k>:<nf>@<r> (RSS
@@ -48,7 +45,6 @@ type replica_report = {
     of {!make}/{!make_multi}. *)
 
 val make :
-  ?path:[ `Compiled | `Interpretive ] ->
   ?classify:[ `Cached | `Scan ] ->
   ?config:config ->
   ?fault:fault_config ->
@@ -67,7 +63,6 @@ val make :
     @raise Invalid_argument when an NF name has no implementation. *)
 
 val make_multi :
-  ?path:[ `Compiled | `Interpretive ] ->
   ?classify:[ `Cached | `Scan ] ->
   ?config:config ->
   ?fault:fault_config ->
@@ -107,16 +102,13 @@ val make_multi :
     producing the per-NF {!replica_report} list (see
     [config.replicas]).
 
-    [path] selects the execution strategy. [`Compiled] (the default)
-    translates every plan once, at deployment time, into a preresolved
-    program: merge specs in arrays indexed by merge id, NF and merger
-    targets bound to their server slots, static per-action cycle costs
-    folded into constants, and emissions as cursor-walked arrays.
-    [`Interpretive] walks the plan's tables per packet; it is the
-    executable reference semantics and the two paths produce
-    packet-for-packet identical results.
+    Every plan is translated once, at deployment time, into a
+    preresolved program: merge specs in arrays indexed by merge id, NF
+    and merger targets bound to their server slots, static per-action
+    cycle costs folded into constants, and emissions as cursor-walked
+    arrays.
 
-    [fault] (compiled path only) arms the fault-tolerance subsystem:
+    [fault] arms the fault-tolerance subsystem:
     the plan's perturbations are installed on the named cores, a
     watchdog detects dead or wedged cores from progress heartbeats and
     applies each NF's {!recovery} policy (infrastructure cores always
@@ -134,7 +126,7 @@ val make_multi :
     packet trace byte-identical to a system built without [fault] (the
     differential test in test/test_fastpath.ml enforces this).
 
-    [overload] (compiled path only) arms the overload control plane:
+    [overload] arms the overload control plane:
     watermark backpressure latches on every ring, the priority-aware
     admission controller at the classifier (shed counts exposed
     through [health.drops.shed] and [shed_by_class]), and
@@ -142,12 +134,10 @@ val make_multi :
     workload never reaches — the deployment's output is bit-identical
     to the pre-overload system (test/test_overload.ml enforces this).
 
-    [links] (compiled path only) arms the lossy-interconnect fault
+    [links] arms the lossy-interconnect fault
     domain and, when its [reliable] flag is set, the per-link ARQ
     channels — see {!links_config}.
     @raise Invalid_argument on an empty table, a missing NF, invalid
-    fault timing ([watchdog_interval_ns <= 0], [restart_ns < 0]),
-    invalid overload, elastic or links settings, or [fault],
-    [overload], [elastic], [links] or [config.replicas > 1] combined
-    with the [`Interpretive] path. Every violated rule is named in the
-    one message, joined with ["; "]. *)
+    fault timing ([watchdog_interval_ns <= 0], [restart_ns < 0]), or
+    invalid overload, elastic or links settings. Every violated rule is
+    named in the one message, joined with ["; "]. *)

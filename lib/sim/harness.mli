@@ -139,8 +139,7 @@ type health = {
 (** Fault/recovery counters of a whole system plus per-core liveness. *)
 
 val no_health : health
-(** What systems without fault machinery (the baselines, the
-    interpretive path) report. *)
+(** What systems without fault machinery (the baselines) report. *)
 
 val add_health : health -> health -> health
 (** Combine the health of composed systems (chained cluster segments):

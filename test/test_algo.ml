@@ -981,10 +981,10 @@ let prng_tests =
         let a = Prng.create ~seed:6L in
         let b = Prng.split a in
         check Alcotest.bool "differ" true (Prng.next a <> Prng.next b));
-    Alcotest.test_case "limb implementation matches the Int64 reference" `Quick
+    Alcotest.test_case "stream matches the SplitMix64 reference" `Quick
       (fun () ->
-        (* The production PRNG carries SplitMix64 in native-int limbs;
-           hold it to the boxed Int64 formulation it replaced. *)
+        (* Hold the production PRNG to SplitMix64 written out from
+           [Hashing.mix64]: same 64-bit outputs, same floats. *)
         let golden = 0x9e3779b97f4a7c15L in
         let ref_state = ref 0L in
         let ref_next () =

@@ -74,11 +74,11 @@ type observation = {
   digests : (string * int) list;
 }
 
-let observe ?(path = `Compiled) ?fault ~config ~plan ~bindings ~arrivals ~packets () =
+let observe ?fault ~config ~plan ~bindings ~arrivals ~packets () =
   let lookup, nfs = instances bindings in
   let outs = ref [] in
   let make engine ~output =
-    Nfp_infra.System.make ~path ?fault ~config ~plan ~nfs:lookup engine
+    Nfp_infra.System.make ?fault ~config ~plan ~nfs:lookup engine
       ~output:(fun ~pid pkt ->
         outs := (pid, Bytes.to_string (Packet.to_bytes pkt)) :: !outs;
         output ~pid pkt)
@@ -117,15 +117,15 @@ let check_equivalent ~batch reference batched =
 
 (* Run batch = 1 (bitwise-legacy per-packet semantics) as the
    reference, then every swept size against it. *)
-let sweep ?path ?fault ~text ~bindings ~arrivals ?(packets = 2000) () =
+let sweep ?fault ~text ~bindings ~arrivals ?(packets = 2000) () =
   let plan = plan_of text in
   let reference =
-    observe ?path ?fault ~config:(breath 1) ~plan ~bindings ~arrivals ~packets ()
+    observe ?fault ~config:(breath 1) ~plan ~bindings ~arrivals ~packets ()
   in
   List.iter
     (fun batch ->
       let batched =
-        observe ?path ?fault ~config:(breath batch) ~plan ~bindings ~arrivals ~packets
+        observe ?fault ~config:(breath batch) ~plan ~bindings ~arrivals ~packets
           ()
       in
       check_equivalent ~batch reference batched)
@@ -163,11 +163,6 @@ let fault_free_tests =
         ignore (sweep ~text:par_text ~bindings:par_bindings ~arrivals:bursty ()));
     Alcotest.test_case "chain into merge (write-effect graph)" `Quick (fun () ->
         ignore (sweep ~text:we_text ~bindings:we_bindings ~arrivals:bursty ()));
-    Alcotest.test_case "interpretive path agrees across batch sizes" `Quick
-      (fun () ->
-        ignore
-          (sweep ~path:`Interpretive ~text:ns_text ~bindings:ns_bindings
-             ~arrivals:bursty ~packets:1200 ()));
   ]
 
 let fault_tests =

@@ -355,20 +355,6 @@ let differential_tests =
         check Alcotest.int "no scale-outs" 0 ra.health.scale_outs;
         check Alcotest.int "no migrations" 0
           (ra.health.migrations + rb.health.migrations));
-    Alcotest.test_case "interpretive path refuses the elastic knob" `Quick (fun () ->
-        let plan = plan_of tag_text in
-        let lookup = instances ~make_nf:tag_make_nf tag_bindings in
-        Alcotest.check_raises "invalid_arg"
-          (Invalid_argument
-             "System.make_multi: elastic scale-out requires the `Compiled path")
-          (fun () ->
-            ignore
-              (Nfp_sim.Harness.run
-                 ~make:(fun engine ~output ->
-                   Sys.make ~path:`Interpretive ~elastic:eager ~plan ~nfs:lookup
-                     engine ~output)
-                 ~gen:(traffic ())
-                 ~arrivals:(Nfp_sim.Harness.Uniform 0.5) ~packets:10 ())));
     Alcotest.test_case "invalid elastic policies are rejected" `Quick (fun () ->
         let plan = plan_of tag_text in
         let lookup = instances ~make_nf:tag_make_nf tag_bindings in

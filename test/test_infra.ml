@@ -429,14 +429,33 @@ let system_tests =
         check Alcotest.bool "vpn busiest" true
           ((find "mid1:vpn").busy_ns > (find "mid1:mon").busy_ns));
     Alcotest.test_case "core_count matches the paper's accounting" `Quick (fun () ->
-        let o = compile_ok ns_text in
-        let plan = plan_of_output o in
+        let plan = plan_of_output (compile_ok ns_text) in
+        (* The cores the deployment builds, as its [?stats] sampler
+           lists them. *)
+        let cores config =
+          let cell = ref (fun () -> []) in
+          ignore
+            (Nfp_infra.System.make ~config ~stats:cell ~plan ~nfs:(instances ns_bindings)
+               (Nfp_sim.Engine.create ())
+               ~output:(fun ~pid:_ _ -> ()));
+          List.map (fun c -> c.Nfp_infra.System.core) (!cell ())
+        in
+        let default = Nfp_infra.System.default_config in
         (* 4 NFs + classifier + 1 merger. *)
-        check Alcotest.int "six cores" 6
-          (Nfp_infra.System.core_count Nfp_infra.System.default_config plan);
-        let config = { Nfp_infra.System.default_config with mergers = 2 } in
+        check Alcotest.int "six cores" 6 (List.length (cores default));
         (* + extra merger + agent. *)
-        check Alcotest.int "eight cores" 8 (Nfp_infra.System.core_count config plan));
+        check Alcotest.int "eight cores" 8
+          (List.length (cores { default with mergers = 2 }));
+        (* replicas = 2 shards fw, mon and lb; the VPN's order-sensitive
+           state keeps it on one core. *)
+        check
+          Alcotest.(list string)
+          "nine cores"
+          [
+            "classifier"; "mid1:fw"; "mid1:fw@1"; "mid1:lb"; "mid1:lb@1"; "mid1:mon";
+            "mid1:mon@1"; "mid1:vpn"; "merger#0";
+          ]
+          (cores { default with replicas = 2 }));
     Alcotest.test_case "unknown NF name rejected at deployment" `Quick (fun () ->
         let o = compile_ok ns_text in
         let plan = plan_of_output o in
@@ -1059,19 +1078,6 @@ let fault_tests =
              h.cores);
         check Alcotest.int "no events" 0
           (h.detections + h.crashes + h.restarts + h.bypasses + h.drops.flush_lost));
-    Alcotest.test_case "fault config on the interpretive path is rejected" `Quick
-      (fun () ->
-        let o = compile_ok ns_text in
-        let plan = plan_of_output o in
-        let engine = Nfp_sim.Engine.create () in
-        Alcotest.check_raises "invalid"
-          (Invalid_argument
-             "System.make_multi: fault injection requires the `Compiled path")
-          (fun () ->
-            ignore
-              (Nfp_infra.System.make ~path:`Interpretive
-                 ~fault:Nfp_infra.System.default_fault_config ~plan
-                 ~nfs:(instances ns_bindings) engine ~output:(fun ~pid:_ _ -> ()))));
     Alcotest.test_case "zero watchdog interval and negative restart are rejected" `Quick
       (fun () ->
         (* A zero interval reschedules the watchdog at the same instant

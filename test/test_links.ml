@@ -284,21 +284,6 @@ let unit_tests =
           { lossy with rto_backoff = 0.5 };
         rejects "System.make_multi: links probe_timeout_k must be >= 1"
           { lossy with probe_timeout_k = 0 });
-    Alcotest.test_case "interpretive path refuses the links knob" `Quick (fun () ->
-        let plan = plan_of tag_text in
-        let lookup = instances ~make_nf:tag_make_nf tag_bindings in
-        Alcotest.check_raises "invalid_arg"
-          (Invalid_argument
-             "System.make_multi: link channels require the `Compiled path")
-          (fun () ->
-            ignore
-              (Nfp_sim.Harness.run
-                 ~make:(fun engine ~output ->
-                   Sys.make ~path:`Interpretive
-                     ~links:(links [ F.loss ~probability:0.01 "*" ])
-                     ~plan ~nfs:lookup engine ~output)
-                 ~gen:(traffic ())
-                 ~arrivals:steady ~packets:10 ())));
   ]
 
 (* ------------------------------------------------------------------ *)

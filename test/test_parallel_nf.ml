@@ -304,19 +304,6 @@ let differential_tests =
           observe ~config:(replicated 1) ~plan ~bindings:we_bindings ~rate:0.5 ~packets:1500 ()
         in
         check Alcotest.bool "identical observation" true (a = b));
-    Alcotest.test_case "interpretive path refuses the replicas knob" `Quick (fun () ->
-        let plan = plan_of we_text in
-        let lookup = instances ~make_nf:default_nf we_bindings in
-        Alcotest.check_raises "invalid_arg"
-          (Invalid_argument "System.make_multi: replicas require the `Compiled path")
-          (fun () ->
-            ignore
-              (Nfp_sim.Harness.run
-                 ~make:(fun engine ~output ->
-                   Sys.make ~path:`Interpretive ~config:(replicated 4) ~plan ~nfs:lookup engine
-                     ~output)
-                 ~gen:(traffic ())
-                 ~arrivals:(Nfp_sim.Harness.Uniform 0.5) ~packets:10 ())));
   ]
 
 (* ------------------------------------------------------------------ *)
